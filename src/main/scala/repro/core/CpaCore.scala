@@ -212,6 +212,18 @@ object CpaCore {
     }
   }
 
+  /** Starting local responsibilities (ϕ, κ) under the ablations: with `noL`
+    * every item is its own cluster (ϕ_i one-hot at i), with `noZ` every
+    * worker its own community (κ_u one-hot at u). Otherwise ϕ is `phi0` and
+    * κ is [[initKappa]].
+    */
+  def initLocals(cfg: CpaConfig, g: Globals, nItems: Int, nWorkers: Int)(
+      phi0: => Array[Array[Double]]): (Array[Array[Double]], Array[Array[Double]]) = {
+    def oneHot(n: Int, k: Int) = Array.tabulate(n)(i => Array.tabulate(k)(j => if (j == i) 1.0 else 0.0))
+    (if (cfg.noL) oneHot(nItems, g.T) else phi0,
+      if (cfg.noZ) oneHot(nWorkers, g.M) else initKappa(nWorkers, g.M, cfg.seed))
+  }
+
   /** Candidate label set per item = labels voted by at least one worker. */
   def candidates(answers: Seq[Answer], nItems: Int): Array[Array[Int]] = {
     val sets = Array.fill(nItems)(mutable.SortedSet.empty[Int])
@@ -382,15 +394,6 @@ object CpaCore {
     softmaxInPlace(logits)
   }
 
-  /** Per-worker two-coin plug-ins for the truth estimation layer: the
-    * inclusion log-likelihood-ratio contributed by a positive vote and by an
-    * omission. The worker's sensitivity / false-positive rate is the
-    * κ-mixture of its communities' empirically re-estimated rates
-    * ([[communityCoins]]) — spammer communities converge to sens ≈ fp and
-    * become uninformative. Returns (posDelta, negDelta): posDelta =
-    * ln(sens/fp) − ln((1−sens)/(1−fp)), added per voted label on top of the
-    * per-item negDelta sum.
-    */
   /** Weight of omission evidence relative to positive-vote evidence. In
     * partial-agreement tasks "interpreting a missing label as a negative
     * answer is not always correct" (§2.1) — workers omit labels they simply
@@ -405,6 +408,33 @@ object CpaCore {
     * min(1, EffectiveVoters / n_i) rather than accumulating linearly.
     */
   val EffectiveVoters: Double = 9.0
+
+  /** Add one answer's bootstrap λ statistic ϕ⁰_it·κ⁰_um·x_iuc (Eq 6 at the
+    * initial responsibilities) into the flat T*M*C array `stat`. Every
+    * engine's [[CpaEngine.bootstrapLambda]] is a pass of this kernel.
+    */
+  def accumulateLambda(stat: Array[Double], labels: Array[Int],
+      phiRow: Array[Double], kapU: Array[Double], C: Int): Unit = {
+    val T = phiRow.length
+    val M = kapU.length
+    var t = 0
+    while (t < T) {
+      val p = phiRow(t)
+      if (p > 1e-12) {
+        var m = 0
+        while (m < M) {
+          val w = p * kapU(m)
+          if (w > 1e-12) {
+            val base = (t * M + m) * C
+            var j = 0
+            while (j < labels.length) { stat(base + labels(j)) += w; j += 1 }
+          }
+          m += 1
+        }
+      }
+      t += 1
+    }
+  }
 
   /** Accumulate one answer's contribution into the iteration statistics.
     * Used identically by the local loop and by Spark executors.
@@ -504,9 +534,6 @@ object CpaCore {
   // Driver-side updates from accumulated statistics
   // ---------------------------------------------------------------------
 
-  /** New ϕ row (item-cluster responsibilities) from a_it, the current soft
-    * truth, and E[ln τ]: ϕ_it ∝ exp(E[ln τ_t] + Σ_c ŷ_ic E[ln φ_tc] + a_it).
-    */
   /** Weight of the estimated-truth term in the ϕ update. The soft truth ŷ is
     * a far less noisy description of an item than its raw answers (spam and
     * distractor votes already down-weighted), so up-weighting it sharpens
@@ -514,6 +541,9 @@ object CpaCore {
     */
   val YTermWeight: Double = 3.0
 
+  /** New ϕ row (item-cluster responsibilities) from a_it, the current soft
+    * truth, and E[ln τ]: ϕ_it ∝ exp(E[ln τ_t] + Σ_c ŷ_ic E[ln φ_tc] + a_it).
+    */
   def phiRow(item: Int, aIt: Array[Double], cand: Array[Int], yhat: Array[Double],
       d: Derived): Array[Double] = {
     val T = d.elnTau.length
@@ -572,43 +602,69 @@ object CpaCore {
     out
   }
 
-  /** Global coordinate-ascent updates (Eq 4-7): stick posteriors ρ and υ from
-    * the responsibilities, confusion Dirichlets λ from `lamStat`, and cluster
-    * label Dirichlets ζ from (ϕ, ŷ). Mutates `g` in place.
+  /** x ← (1−ω)·x + ω·target, in place. */
+  def blend(x: Array[Double], target: Array[Double], omega: Double): Unit = {
+    var i = 0
+    while (i < x.length) { x(i) = (1 - omega) * x(i) + omega * target(i); i += 1 }
+  }
+
+  /** Global updates (Eq 4-7 / Eq 18-19) as one natural-gradient step
+    * G ← (1−ω)·G + ω·(G0 + scale·S) on each of λ (S = `lamStat`), ρ (Σ κ over
+    * `workers`), υ (Σ ϕ over `items`) and ζ (Σ ϕŷ over `items`), mutating `g`
+    * (Hoffman et al., 2013, eq. 2.6). Batch VI is ω = 1 with unit scales over
+    * all workers and items; SVI passes ω_b, its batch and the batch-to-corpus
+    * scales.
     */
-  def updateGlobals(g: Globals, cfg: CpaConfig, lamStat: Array[Double],
-      kappa: Array[Array[Double]], phi: Array[Array[Double]],
-      cand: Array[Array[Int]], yhat: Array[Array[Double]]): Unit = {
+  def updateGlobals(g: Globals, cfg: CpaConfig, omega: Double,
+      lamStat: Array[Double], ansScale: Double,
+      workers: Array[Int], kappa: Array[Array[Double]], workerScale: Double,
+      items: Array[Int], phi: Array[Array[Double]], cand: Int => Array[Int],
+      yhat: Int => Array[Double], itemScale: Double): Unit = {
     val T = g.T; val M = g.M; val C = g.C
-    val (r1, r2) = updateSticks(colSums(kappa), cfg.alpha)
-    System.arraycopy(r1, 0, g.rho1, 0, M); System.arraycopy(r2, 0, g.rho2, 0, M)
-    val (u1, u2) = updateSticks(colSums(phi), cfg.eps)
-    System.arraycopy(u1, 0, g.ups1, 0, T); System.arraycopy(u2, 0, g.ups2, 0, T)
+    val lamHat = new Array[Double](C)
     var t = 0
     while (t < T) {
       var m = 0
       while (m < M) {
         val base = (t * M + m) * C
         var c = 0
-        while (c < C) { g.lambda(t)(m)(c) = cfg.lambda0 + lamStat(base + c); c += 1 }
+        while (c < C) { lamHat(c) = cfg.lambda0 + ansScale * lamStat(base + c); c += 1 }
+        blend(g.lambda(t)(m), lamHat, omega)
         m += 1
       }
-      java.util.Arrays.fill(g.zeta(t), cfg.zeta0)
       t += 1
     }
-    var i = 0
-    while (i < phi.length) {
+    val zetaHat = Array.fill(T, C)(cfg.zeta0)
+    val phiSum = new Array[Double](T)
+    var k = 0
+    while (k < items.length) {
+      val i = items(k); val cd = cand(i); val yh = yhat(i)
       t = 0
       while (t < T) {
         val w = phi(i)(t)
+        phiSum(t) += itemScale * w
         if (w > 1e-12) {
           var j = 0
-          while (j < cand(i).length) { g.zeta(t)(cand(i)(j)) += w * yhat(i)(j); j += 1 }
+          while (j < cd.length) { zetaHat(t)(cd(j)) += itemScale * w * yh(j); j += 1 }
         }
         t += 1
       }
-      i += 1
+      k += 1
     }
+    t = 0
+    while (t < T) { blend(g.zeta(t), zetaHat(t), omega); t += 1 }
+    val kapSum = new Array[Double](M)
+    k = 0
+    while (k < workers.length) {
+      val row = kappa(workers(k))
+      var m = 0
+      while (m < M) { kapSum(m) += workerScale * row(m); m += 1 }
+      k += 1
+    }
+    val (r1, r2) = updateSticks(kapSum, cfg.alpha)
+    blend(g.rho1, r1, omega); blend(g.rho2, r2, omega)
+    val (u1, u2) = updateSticks(phiSum, cfg.eps)
+    blend(g.ups1, u1, omega); blend(g.ups2, u2, omega)
   }
 
   /** Eq 4 globals: ρ_m1 = 1 + Σ_u κ_um; ρ_m2 = α + Σ_u Σ_{l>m} κ_ul. */

@@ -81,25 +81,7 @@ final class LocalEngine(answers: Seq[repro.crowd.Answer]) extends CpaEngine {
   override def bootstrapLambda(T: Int, M: Int, C: Int,
       kappa: Array[Array[Double]], phi: Array[Array[Double]]): Array[Double] = {
     val stat = new Array[Double](T * M * C)
-    answers.foreach { a =>
-      var t = 0
-      while (t < T) {
-        val p = phi(a.item)(t)
-        if (p > 1e-12) {
-          var m = 0
-          while (m < M) {
-            val w = p * kappa(a.worker)(m)
-            if (w > 1e-12) {
-              val base = (t * M + m) * C
-              var j = 0
-              while (j < a.labels.length) { stat(base + a.labels(j)) += w; j += 1 }
-            }
-            m += 1
-          }
-        }
-        t += 1
-      }
-    }
+    answers.foreach(a => CpaCore.accumulateLambda(stat, a.labels, phi(a.item), kappa(a.worker), C))
     stat
   }
 }

@@ -19,10 +19,11 @@ import scala.collection.mutable
   * G0 and batch sufficient statistic S_b is applied in its standard
   * equivalent form G ← (1−ω_b)·G + ω_b·(G0 + scale·S_b) (Hoffman et al.,
   * 2013, eq. 2.6) — identical to Eq 18-19 with the U/U_b scaling; the
-  * unknown corpus size is estimated by the answers seen so far. The item
-  * responsibilities ϕ are mixed in mean parameterisation rather than the
-  * canonical µ parameterisation of Eq 15-17 (same fixed points, simpler
-  * state).
+  * unknown corpus size is estimated by the answers seen so far. Batch VI
+  * ([[CpaVi]]) is the ω = 1, scale = 1 case of the same step; both run it
+  * through [[CpaCore.updateGlobals]]. The item responsibilities ϕ are mixed
+  * in mean parameterisation rather than the canonical µ parameterisation of
+  * Eq 15-17 (same fixed points, simpler state).
   */
 final class CpaSvi(
     val cfg: CpaConfig,
@@ -34,21 +35,21 @@ final class CpaSvi(
   val T: Int = g.T
   val M: Int = g.M
 
-  private val phi: Array[Array[Double]] = {
+  // No answers have arrived yet: ϕ starts near-uniform.
+  private val (phi, kappa) = CpaCore.initLocals(cfg, g, nItems, nWorkers) {
     val rng = new scala.util.Random(cfg.seed)
     Array.fill(nItems)(repro.util.MathFn.normalise(Array.fill(T)(1.0 + 0.05 * rng.nextDouble())))
   }
-  private val kappa: Array[Array[Double]] = CpaCore.initKappa(nWorkers, M, cfg.seed)
 
   // Per-item cumulative vote state (drives candidates and the truth layer).
   private val voteCount = mutable.LongMap.empty[Int]
-  private val nAnsItem = new Array[Double](nItems)
   private val yhatMap = mutable.LongMap.empty[Double]
-  // Cumulative truth-layer vote statistics for online prediction.
-  private val cumLlr = mutable.LongMap.empty[Double]
+  // Cumulative truth-layer statistics for online prediction: per-item answer
+  // counts (nAns) and vote log-likelihood ratios (llr).
+  private val truth = CpaCore.emptyStats(1, 1, 1, nItems)
 
-  private var sensMc = Array.fill(M * nLabels)(0.65)
-  private var fpMc = Array.fill(M * nLabels)(0.08)
+  private val sensMc = Array.fill(M * nLabels)(0.65)
+  private val fpMc = Array.fill(M * nLabels)(0.08)
 
   private var batchIndex = 0
   private var answersSeen = 0L
@@ -81,7 +82,7 @@ final class CpaSvi(
 
     // --- Register votes; initialise new candidates from sharpened shares. ---
     batch.foreach { a =>
-      nAnsItem(a.item) += 1.0
+      truth.nAns(a.item) += 1.0
       answersSeen += 1
       labelMassSeen += a.labels.length
       a.labels.foreach { c =>
@@ -94,20 +95,19 @@ final class CpaSvi(
     batchItems.foreach { i =>
       val base = i.toLong * nLabels
       candOf(i).foreach { c =>
-        val share = voteCount(base + c).toDouble / math.max(1.0, nAnsItem(i))
+        val share = voteCount(base + c).toDouble / math.max(1.0, truth.nAns(i))
         val sharp = 1.0 / (1.0 + math.exp(-8.0 * (share - 0.5)))
         if (!yhatMap.contains(base + c)) yhatMap.update(base + c, sharp)
       }
     }
     val candArr: Map[Int, Array[Int]] = batchItems.map(i => i -> candOf(i)).toMap
-    val yhatArr: mutable.Map[Int, Array[Double]] =
-      mutable.Map(batchItems.map(i => i -> yhatOf(i, candArr(i))): _*)
+    val yhatArr: Map[Int, Array[Double]] = batchItems.map(i => i -> yhatOf(i, candArr(i))).toMap
 
     // --- Derived expectations from the current globals. ---
     val clusterMass = new Array[Double](T)
     var i = 0
     while (i < nItems) {
-      if (nAnsItem(i) > 0) {
+      if (truth.nAns(i) > 0) {
         var t = 0
         while (t < T) { clusterMass(t) += phi(i)(t); t += 1 }
       }
@@ -130,81 +130,23 @@ final class CpaSvi(
         candArr(a.item), yhatArr(a.item), sensMc, fpMc)
     }
 
-    // --- Natural-gradient global updates (Eq 18-19). ---
-    val scaleAns = math.max(1.0, answersSeen.toDouble / batch.size)
-    var t = 0
-    while (t < T) {
-      var m = 0
-      while (m < M) {
-        val base = (t * M + m) * nLabels
-        var c = 0
-        while (c < nLabels) {
-          val hat = cfg.lambda0 + scaleAns * st.lamStat(base + c)
-          g.lambda(t)(m)(c) = (1 - omega) * g.lambda(t)(m)(c) + omega * hat
-          c += 1
-        }
-        m += 1
-      }
-      t += 1
-    }
-    // ζ from batch items' (ϕ, ŷ).
-    val itemsSeen = nAnsItem.count(_ > 0)
-    val scaleItems = math.max(1.0, itemsSeen.toDouble / batchItems.length)
-    val zetaHat = Array.fill(T, nLabels)(cfg.zeta0)
-    batchItems.foreach { it =>
-      val cd = candArr(it); val yh = yhatArr(it)
-      var t2 = 0
-      while (t2 < T) {
-        val w = phi(it)(t2)
-        if (w > 1e-12) {
-          var j = 0
-          while (j < cd.length) { zetaHat(t2)(cd(j)) += scaleItems * w * yh(j); j += 1 }
-        }
-        t2 += 1
-      }
-    }
-    t = 0
-    while (t < T) {
-      var c = 0
-      while (c < nLabels) {
-        g.zeta(t)(c) = (1 - omega) * g.zeta(t)(c) + omega * zetaHat(t)(c)
-        c += 1
-      }
-      t += 1
-    }
-    // Stick posteriors from scaled batch responsibilities.
-    val scaleWorkers = math.max(1.0, nWorkers.toDouble / batchWorkers.length)
-    val kapSum = new Array[Double](M)
-    batchWorkers.foreach { u => var m = 0; while (m < M) { kapSum(m) += scaleWorkers * kappa(u)(m); m += 1 } }
-    val (r1, r2) = CpaCore.updateSticks(kapSum, cfg.alpha)
-    var m = 0
-    while (m < M) {
-      g.rho1(m) = (1 - omega) * g.rho1(m) + omega * r1(m)
-      g.rho2(m) = (1 - omega) * g.rho2(m) + omega * r2(m)
-      m += 1
-    }
-    val phiSum = new Array[Double](T)
-    batchItems.foreach { it => var t2 = 0; while (t2 < T) { phiSum(t2) += scaleItems * phi(it)(t2); t2 += 1 } }
-    val (u1, u2) = CpaCore.updateSticks(phiSum, cfg.eps)
-    t = 0
-    while (t < T) {
-      g.ups1(t) = (1 - omega) * g.ups1(t) + omega * u1(t)
-      g.ups2(t) = (1 - omega) * g.ups2(t) + omega * u2(t)
-      t += 1
-    }
+    // --- Natural-gradient global updates (Eq 18-19), corpus size estimated
+    // by the answers, items and workers seen so far. ---
+    val itemsSeen = truth.nAns.count(_ > 0)
+    CpaCore.updateGlobals(g, cfg, omega,
+      st.lamStat, math.max(1.0, answersSeen.toDouble / batch.size),
+      batchWorkers, kappa, math.max(1.0, nWorkers.toDouble / batchWorkers.length),
+      batchItems, phi, candArr, yhatArr, math.max(1.0, itemsSeen.toDouble / batchItems.length))
 
     // --- ϕ and ŷ for batch items (mean-parameter mixing, Eq 15-17). ---
     // Merge batch vote statistics into the cumulative truth-layer state first.
-    st.llr.foreach { case (k, v) => cumLlr.update(k, cumLlr.getOrElse(k, 0.0) + v) }
+    st.llr.foreach { case (k, v) => truth.llr.update(k, truth.llr.getOrElse(k, 0.0) + v) }
     if (!cfg.noL) batchItems.foreach { it =>
-      val newRow = CpaCore.phiRow(it, st.aIt, candArr(it), yhatArr(it), d)
-      var t2 = 0
-      while (t2 < T) { phi(it)(t2) = (1 - omega) * phi(it)(t2) + omega * newRow(t2); t2 += 1 }
+      CpaCore.blend(phi(it), CpaCore.phiRow(it, st.aIt, candArr(it), yhatArr(it), d), omega)
     }
-    val cum = cumulativeStats
     batchItems.foreach { it =>
       val cd = candArr(it)
-      val s = CpaCore.inclusionScores(it, cd, phi(it), d, cum)
+      val s = CpaCore.inclusionScores(it, cd, phi(it), d, truth)
       var j = 0
       while (j < cd.length) {
         val key = it.toLong * nLabels + cd(j)
@@ -215,38 +157,21 @@ final class CpaSvi(
     }
 
     // --- Community coin re-estimation (blended). ---
-    val coins = CpaCore.communityCoins(st, meanAnswerSize)
-    var idx = 0
-    while (idx < sensMc.length) {
-      sensMc(idx) = (1 - omega) * sensMc(idx) + omega * coins._1(idx)
-      fpMc(idx) = (1 - omega) * fpMc(idx) + omega * coins._2(idx)
-      idx += 1
-    }
+    val (sens, fp) = CpaCore.communityCoins(st, meanAnswerSize)
+    CpaCore.blend(sensMc, sens, omega)
+    CpaCore.blend(fpMc, fp, omega)
   }
 
-  /** Cumulative truth-layer statistics (llr + answer counts) for prediction. */
-  private def cumulativeStats: CpaCore.SuffStats = {
-    val st = CpaCore.emptyStats(1, 1, 1, nItems)
-    cumLlr.foreach { case (k, v) => st.llr.update(k, v) }
-    System.arraycopy(nAnsItem, 0, st.nAns, 0, nItems)
-    st
-  }
-
-  /** Snapshot the current state as a [[CpaModel]] for (online) prediction. */
+  /** Snapshot the current state as a [[CpaModel]] for (online) prediction.
+    * The truth statistics are copied, so later batches leave the snapshot as is.
+    */
   def toModel: CpaModel = {
     val cand = Array.tabulate(nItems)(candOf)
     val yhat = Array.tabulate(nItems)(i => yhatOf(i, cand(i)))
-    val clusterMass = new Array[Double](T)
-    var i = 0
-    while (i < nItems) {
-      var t = 0
-      while (t < T) { clusterMass(t) += phi(i)(t); t += 1 }
-      i += 1
-    }
     val ySize = Array.tabulate(nItems)(i => yhat(i).sum)
-    val d = CpaCore.derive(g, clusterMass, phi, ySize, meanAnswerSize)
+    val d = CpaCore.derive(g, CpaCore.colSums(phi), phi, ySize, meanAnswerSize)
     new CpaModel(cfg, nItems, nWorkers, nLabels, g, kappa, phi, cand, yhat, d,
-      cumulativeStats, sensMc, fpMc, batchIndex)
+      CpaCore.emptyStats(1, 1, 1, nItems).merge(truth), sensMc, fpMc, batchIndex)
   }
 }
 

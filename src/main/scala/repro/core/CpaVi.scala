@@ -98,12 +98,8 @@ object CpaVi {
     val T = g.T
     val M = g.M
 
-    var phi: Array[Array[Double]] =
-      if (cfg.noL) Array.tabulate(nItems)(i => Array.tabulate(T)(t => if (t == i) 1.0 else 0.0))
-      else CpaCore.initPhi(initAnswers, nItems, T, cfg.seed)
-    var kappa: Array[Array[Double]] =
-      if (cfg.noZ) Array.tabulate(nWorkers)(u => Array.tabulate(M)(m => if (m == u) 1.0 else 0.0))
-      else CpaCore.initKappa(nWorkers, M, cfg.seed)
+    var (phi, kappa) = CpaCore.initLocals(cfg, g, nItems, nWorkers)(
+      CpaCore.initPhi(initAnswers, nItems, T, cfg.seed))
 
     val cand = engine.candidates(nItems)
     val yhat = CpaCore.initYhat(initAnswers, nItems, cand)
@@ -121,12 +117,18 @@ object CpaVi {
     var sensMc = Array.fill(M * nLabels)(0.65)
     var fpMc = Array.fill(M * nLabels)(0.08)
 
+    // Batch VI is the ω = 1 step with unit scales over all workers and items.
+    val allWorkers = Array.range(0, nWorkers)
+    val allItems = Array.range(0, nItems)
+    def updateGlobals(lamStat: Array[Double]): Unit =
+      CpaCore.updateGlobals(g, cfg, 1.0, lamStat, 1.0, allWorkers, kappa, 1.0,
+        allItems, phi, cand(_), yhat(_), 1.0)
+
     // --- Bootstrap the globals from the informative initialisation. ---
     // Without this, the first ϕ update sees only the stick prior E[ln τ_t]
     // (monotonically decreasing in t) and collapses all items into the first
     // few clusters before any data has spoken.
-    CpaCore.updateGlobals(g, cfg,
-      engine.bootstrapLambda(T, M, nLabels, kappa, phi), kappa, phi, cand, yhat)
+    updateGlobals(engine.bootstrapLambda(T, M, nLabels, kappa, phi))
 
     var d: CpaCore.Derived = null
     var st: CpaCore.SuffStats = null
@@ -184,7 +186,7 @@ object CpaVi {
       if (cfg.noL) delta = yDeltaMean
 
       // --- Global updates (Eq 4-7). ---
-      CpaCore.updateGlobals(g, cfg, st.lamStat, kappa, phi, cand, yhat)
+      updateGlobals(st.lamStat)
 
       iter += 1
       // Converge only once both the clustering and the truth estimate settle.

@@ -91,24 +91,8 @@ object CpaSpark {
       val bPhi = sc.broadcast(phi)
       val result = ds.mapPartitions { it =>
         val stat = new Array[Double](T * M * C)
-        it.foreach { r =>
-          var t = 0
-          while (t < T) {
-            val p = bPhi.value(r.item)(t)
-            if (p > 1e-12) {
-              var m = 0
-              while (m < M) {
-                val w = p * bKappa.value(r.worker)(m)
-                if (w > 1e-12) {
-                  val base = (t * M + m) * C
-                  r.labels.foreach(c => stat(base + c) += w)
-                }
-                m += 1
-              }
-            }
-            t += 1
-          }
-        }
+        it.foreach(r => CpaCore.accumulateLambda(stat, r.labels.toArray, bPhi.value(r.item),
+          bKappa.value(r.worker), C))
         Iterator.single(stat)
       }(Encoders.kryo[Array[Double]]).reduce { (x, y) =>
         var i = 0

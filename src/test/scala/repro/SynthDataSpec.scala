@@ -2,33 +2,8 @@ package repro
 
 import org.apache.spark.sql.functions._
 
-/** Sanity of the provided TPC-H-lite generators plus the crowd-schema
-  * extension (the paper's evaluation data as DataFrames).
-  */
+/** The crowd-schema DataFrames (the paper's evaluation data). */
 class SynthDataSpec extends SparkSpec {
-
-  test("lineitem generates the expected row count at SF 0.001") {
-    assert(SynthData.lineitem(spark, 0.001).count() == 6000L)
-  }
-  test("lineitem is deterministic in (sf, seed)") {
-    val a = SynthData.lineitem(spark, 0.001).agg(sum("l_quantity")).collect()(0).getDouble(0)
-    val b = SynthData.lineitem(spark, 0.001).agg(sum("l_quantity")).collect()(0).getDouble(0)
-    assert(a == b)
-  }
-  test("orders keys are dense from 1") {
-    val o = SynthData.orders(spark, 0.001)
-    val row = o.agg(min("o_orderkey"), max("o_orderkey"), count(lit(1))).collect()(0)
-    assert(row.getLong(0) == 1L && row.getLong(1) == row.getLong(2))
-  }
-  test("zipfKeys are more skewed than uniformKeys") {
-    def topShare(df: org.apache.spark.sql.DataFrame): Double = {
-      val top = df.groupBy("k").count().orderBy(desc("count")).limit(1)
-        .collect()(0).getLong(1)
-      top.toDouble / df.count()
-    }
-    assert(topShare(SynthData.zipfKeys(spark, 20000, 100)) >
-      topShare(SynthData.uniformKeys(spark, 20000, 100)) * 3)
-  }
 
   test("crowdAnswers exposes the answer matrix with the expected schema") {
     val df = SynthData.crowdAnswers(spark, "movie", sf = 0.1)

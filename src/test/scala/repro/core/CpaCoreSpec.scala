@@ -214,13 +214,62 @@ class CpaCoreSpec extends AnyFunSuite {
     assert(s(1) > s(0))
   }
 
+  /** ζ0 + scale·Σ_{i∈items} ϕ_it ŷ_ic (Eq 7 target), written out per entry. */
+  private def zetaTarget(cfg: CpaConfig, T: Int, items: Seq[Int], scale: Double,
+      phi: Array[Array[Double]], cand: Array[Array[Int]], yhat: Array[Array[Double]]) =
+    Array.tabulate(T, C) { (t, c) =>
+      cfg.zeta0 + scale * items.map { i =>
+        val j = cand(i).indexOf(c)
+        if (j < 0) 0.0 else phi(i)(t) * yhat(i)(j)
+      }.sum
+    }
+
+  private def assertClose(a: Array[Double], b: Array[Double], what: String): Unit = {
+    assert(a.length == b.length, what)
+    a.indices.foreach(k => assert(math.abs(a(k) - b(k)) < 1e-9, s"$what($k): ${a(k)} vs ${b(k)}"))
+  }
+
   test("updateGlobals adds the prior to every lambda/zeta entry") {
     val (cfg, g, phi, kappa, cand, yhat, _) = freshState()
-    val lamStat = new Array[Double](g.T * g.M * C)
+    val lamStat = Array.tabulate(g.T * g.M * C)(k => 0.1 * k)
     lamStat(0) = 2.5
-    updateGlobals(g, cfg, lamStat, kappa, phi, cand, yhat)
+    updateGlobals(g, cfg, 1.0, lamStat, 1.0, Array.range(0, U), kappa, 1.0,
+      Array.range(0, I), phi, cand(_), yhat(_), 1.0)
     assert(math.abs(g.lambda(0)(0)(0) - (cfg.lambda0 + 2.5)) < 1e-12)
     g.lambda.foreach(_.foreach(_.foreach(v => assert(v >= cfg.lambda0 - 1e-12))))
     g.zeta.foreach(_.foreach(v => assert(v >= cfg.zeta0 - 1e-12)))
+    // ω = 1 with unit scales is the closed-form update of Eq 4-7.
+    for (t <- 0 until g.T; m <- 0 until g.M)
+      assertClose(g.lambda(t)(m), Array.tabulate(C)(c => cfg.lambda0 + lamStat((t * g.M + m) * C + c)), "lambda")
+    val zeta = zetaTarget(cfg, g.T, 0 until I, 1.0, phi, cand, yhat)
+    (0 until g.T).foreach(t => assertClose(g.zeta(t), zeta(t), "zeta"))
+    val (r1, r2) = updateSticks(colSums(kappa), cfg.alpha)
+    assertClose(g.rho1, r1, "rho1"); assertClose(g.rho2, r2, "rho2")
+    val (u1, u2) = updateSticks(colSums(phi), cfg.eps)
+    assertClose(g.ups1, u1, "ups1"); assertClose(g.ups2, u2, "ups2")
+  }
+
+  test("updateGlobals at ω < 1 blends (1-ω)·G + ω·(G0 + scale·S) on every global") {
+    val (cfg, g, phi, kappa, cand, yhat, _) = freshState()
+    val before = g.copyOf()
+    val lamStat = Array.tabulate(g.T * g.M * C)(k => 0.1 * k)
+    val omega = 0.5; val ansScale = 3.0; val workerScale = 2.0; val itemScale = 4.0
+    val workers = Array(0, 2); val items = Array(2, 1)
+    updateGlobals(g, cfg, omega, lamStat, ansScale, workers, kappa, workerScale,
+      items, phi, cand(_), yhat(_), itemScale)
+    def mix(old: Array[Double], target: Array[Double]) =
+      old.indices.map(k => (1 - omega) * old(k) + omega * target(k)).toArray
+    for (t <- 0 until g.T; m <- 0 until g.M) {
+      val target = Array.tabulate(C)(c => cfg.lambda0 + ansScale * lamStat((t * g.M + m) * C + c))
+      assertClose(g.lambda(t)(m), mix(before.lambda(t)(m), target), "lambda")
+    }
+    val zeta = zetaTarget(cfg, g.T, items.toSeq, itemScale, phi, cand, yhat)
+    (0 until g.T).foreach(t => assertClose(g.zeta(t), mix(before.zeta(t), zeta(t)), "zeta"))
+    val (r1, r2) = updateSticks(
+      Array.tabulate(g.M)(m => workerScale * workers.map(kappa(_)(m)).sum), cfg.alpha)
+    assertClose(g.rho1, mix(before.rho1, r1), "rho1"); assertClose(g.rho2, mix(before.rho2, r2), "rho2")
+    val (u1, u2) = updateSticks(
+      Array.tabulate(g.T)(t => itemScale * items.map(phi(_)(t)).sum), cfg.eps)
+    assertClose(g.ups1, mix(before.ups1, u1), "ups1"); assertClose(g.ups2, mix(before.ups2, u2), "ups2")
   }
 }

@@ -75,4 +75,22 @@ class CpaSviSpec extends AnyFunSuite {
     online.globals.zeta.foreach(_.foreach(v => assert(v > 0)))
     online.globals.rho1.foreach(v => assert(v >= 1.0 - 1e-9))
   }
+
+  private lazy val small = Datasets.generate("movie", sf = 0.1)
+  private def afterOneBatch(cfg: CpaConfig): CpaModel = {
+    val svi = new CpaSvi(cfg, small.nItems, small.nWorkers, small.nLabels)
+    svi.processBatch(small.answers.take(small.answers.size / 10))
+    svi.toModel
+  }
+  private def oneHotAt(row: Array[Double], k: Int): Boolean =
+    row.indices.forall(j => row(j) == (if (j == k) 1.0 else 0.0))
+
+  test("the noL ablation keeps every item in its own cluster") {
+    val m = afterOneBatch(CpaConfig(noL = true))
+    (0 until small.nItems).foreach(i => assert(oneHotAt(m.phi(i), i), s"phi($i)"))
+  }
+  test("the noZ ablation keeps every worker in its own community") {
+    val m = afterOneBatch(CpaConfig(noZ = true))
+    (0 until small.nWorkers).foreach(u => assert(oneHotAt(m.kappa(u), u), s"kappa($u)"))
+  }
 }

@@ -1,7 +1,7 @@
 package repro.spark
 
 import repro.SparkSpec
-import repro.core.{CpaConfig, CpaVi}
+import repro.core.{CpaConfig, CpaCore, CpaVi, LocalEngine}
 import repro.crowd.{Answer, Datasets, Metrics}
 
 class CpaSparkSpec extends SparkSpec {
@@ -46,6 +46,20 @@ class CpaSparkSpec extends SparkSpec {
   test("accuracy of the Spark-fitted model is in the expected band") {
     val pr = Metrics.evaluate(ds, CpaSpark.predict(spark, dist))
     assert(pr.precision > 0.4 && pr.recall > 0.3, s"$pr")
+  }
+
+  test("SparkEngine.bootstrapLambda equals LocalEngine.bootstrapLambda") {
+    val g = CpaCore.initGlobals(cfg, ds.nItems, ds.nWorkers, ds.nLabels)
+    val phi = CpaCore.initPhi(ds.answers, ds.nItems, g.T, cfg.seed)
+    val kappa = CpaCore.initKappa(ds.nWorkers, g.M, cfg.seed)
+    val onDriver = new LocalEngine(ds.answers).bootstrapLambda(g.T, g.M, g.C, kappa, phi)
+    val data = AnswerData.toDs(spark, ds.answers).cache()
+    try {
+      val onSpark = new CpaSpark.SparkEngine(spark, data, ds.answers.size.toLong, 1.0)
+        .bootstrapLambda(g.T, g.M, g.C, kappa, phi)
+      assert(onSpark.length == onDriver.length)
+      onDriver.indices.foreach(k => assert(math.abs(onDriver(k) - onSpark(k)) < 1e-9, s"lambda stat $k"))
+    } finally data.unpersist()
   }
 
   test("AnswerData round-trips answers through a Dataset") {
