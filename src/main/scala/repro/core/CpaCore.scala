@@ -74,11 +74,13 @@ object CpaCore {
     *
     * @param lamStat  flat T*M*C array: Σ_i ϕ_it κ_um x_iuc (Eq 6 increment)
     * @param aIt      flat I*T array: a_it = Σ_{u∈U_i} Σ_m κ_um E[ln p(x_iu|ψ_tm)]
-    * @param llr      sparse (item*C + c) -> accumulated per-label vote
-    *                 log-likelihood ratio: each answering worker contributes
-    *                 ln(sens_uc/fp_uc) if they voted c, or the discounted
-    *                 omission ratio OmissionDiscount·ln((1−sens_uc)/(1−fp_uc))
-    *                 otherwise (accumulated over the item's candidate labels)
+    * @param llr      per item, one row aligned slot for slot with the item's
+    *                 sorted candidate labels (null until the item's first
+    *                 answer): llr(i)(j) is the accumulated vote log-likelihood
+    *                 ratio of label cand(i)(j). Each answering worker
+    *                 contributes ln(sens_uc/fp_uc) if they voted c, or the
+    *                 discounted omission ratio
+    *                 OmissionDiscount·ln((1−sens_uc)/(1−fp_uc)) otherwise
     * @param nAns     per item: number of answers (for evidence scaling)
     * @param tpMc/fpMc/posMassMc flat M*C arrays: κ-weighted per-community
     *                 *per-label* true/false positive vote mass and true-label
@@ -95,7 +97,7 @@ object CpaCore {
   final class SuffStats(
       val lamStat: Array[Double],
       val aIt: Array[Double],
-      val llr: mutable.LongMap[Double],
+      val llr: Array[Array[Double]],
       val nAns: Array[Double],
       val tpMc: Array[Double],
       val fpMc: Array[Double],
@@ -103,30 +105,55 @@ object CpaCore {
       val negAdjMc: Array[Double],
       val ansMassM: Array[Double]) extends Serializable {
     def merge(o: SuffStats): SuffStats = {
+      addInto(lamStat, o.lamStat)
+      addInto(aIt, o.aIt)
       var i = 0
-      while (i < lamStat.length) { lamStat(i) += o.lamStat(i); i += 1 }
-      i = 0
-      while (i < aIt.length) { aIt(i) += o.aIt(i); i += 1 }
-      o.llr.foreach { case (k, v) => llr.update(k, llr.getOrElse(k, 0.0) + v) }
-      i = 0
-      while (i < nAns.length) { nAns(i) += o.nAns(i); i += 1 }
-      i = 0
-      while (i < tpMc.length) {
-        tpMc(i) += o.tpMc(i); fpMc(i) += o.fpMc(i)
-        posMassMc(i) += o.posMassMc(i); negAdjMc(i) += o.negAdjMc(i)
+      while (i < llr.length) {
+        val src = o.llr(i)
+        if (src != null) {
+          if (llr(i) == null) llr(i) = src.clone() else addInto(llr(i), src)
+        }
         i += 1
       }
-      i = 0
-      while (i < ansMassM.length) { ansMassM(i) += o.ansMassM(i); i += 1 }
+      addInto(nAns, o.nAns)
+      addInto(tpMc, o.tpMc); addInto(fpMc, o.fpMc)
+      addInto(posMassMc, o.posMassMc); addInto(negAdjMc, o.negAdjMc)
+      addInto(ansMassM, o.ansMassM)
       this
     }
   }
 
   def emptyStats(T: Int, M: Int, C: Int, I: Int): SuffStats =
     new SuffStats(new Array[Double](T * M * C), new Array[Double](I * T),
-      mutable.LongMap.empty[Double], new Array[Double](I),
+      new Array[Array[Double]](I), new Array[Double](I),
       new Array[Double](M * C), new Array[Double](M * C),
       new Array[Double](M * C), new Array[Double](M * C), new Array[Double](M))
+
+  /** dst(k) += src(k) for every k. */
+  def addInto(dst: Array[Double], src: Array[Double]): Unit = {
+    var k = 0
+    while (k < dst.length) { dst(k) += src(k); k += 1 }
+  }
+
+  /** Whether `labels` is strictly increasing: the sorted, distinct label set
+    * that [[accumulate]]'s two-pointer walk and the candidate-aligned `llr`
+    * rows rely on.
+    */
+  def strictlyIncreasing(labels: Array[Int]): Boolean = {
+    var j = 1
+    while (j < labels.length && labels(j - 1) < labels(j)) j += 1
+    j >= labels.length
+  }
+
+  /** Reject any answer whose labels are not strictly increasing within
+    * [0, nLabels).
+    */
+  def requireValidLabels(answers: Iterable[Answer], nLabels: Int): Unit =
+    answers.foreach { a =>
+      val ls = a.labels
+      require(strictlyIncreasing(ls) && (ls.isEmpty || (ls(0) >= 0 && ls(ls.length - 1) < nLabels)),
+        s"$a: labels must be strictly increasing (sorted, distinct) within [0, $nLabels)")
+    }
 
   /** Re-estimate each community's per-label two-coin rates from the
     * accumulated vote statistics. Smoothing priors keep iteration 1 close to
@@ -478,6 +505,8 @@ object CpaCore {
     // against all C labels would make every vote near-infinite evidence for
     // large vocabularies.
     st.nAns(a.item) += 1.0
+    var llrRow = st.llr(a.item)
+    if (llrRow == null) { llrRow = new Array[Double](cand.length); st.llr(a.item) = llrRow }
     var j = 0
     var v = 0 // two-pointer walk: both cand and a.labels are sorted
     while (j < cand.length) {
@@ -498,8 +527,7 @@ object CpaCore {
       val delta =
         if (voted) math.log(sens / fp)
         else OmissionDiscount * math.log((1.0 - sens) / (1.0 - fp))
-      val key = a.item.toLong * C + c
-      st.llr.update(key, st.llr.getOrElse(key, 0.0) + delta)
+      llrRow(j) += delta
       // Per-community per-label coin statistics vs the current soft truth.
       // Only *confident* truth estimates teach us about worker reliability:
       // a mid-confidence label (y ≈ 0.5) is exactly the case under dispute,
@@ -562,13 +590,17 @@ object CpaCore {
 
   /** Per-label inclusion posterior for the latent truth (DESIGN.md §2 note 2):
     * cluster-mixture prior p0_c = Σ_t ϕ_it min(0.97, n̄_t φ̂_tc), combined with
-    * the vote log-likelihood ratio. Returns values for the given label set.
+    * the vote log-likelihood ratio. Returns values for the given sorted label
+    * set; `cand` is the item's sorted candidate set that `st.llr(item)` is
+    * aligned with. Labels outside it have no vote evidence (llr 0).
     */
-  def inclusionScores(item: Int, labels: Array[Int], phiRow: Array[Double],
+  def inclusionScores(item: Int, labels: Array[Int], cand: Array[Int], phiRow: Array[Double],
       d: Derived, st: SuffStats): Array[Double] = {
     val T = phiRow.length
-    val C = d.phiHat(0).length
+    val row = st.llr(item)
+    val scale = math.min(1.0, EffectiveVoters / math.max(1.0, st.nAns(item)))
     val out = new Array[Double](labels.length)
+    var k = 0 // two-pointer walk: both labels and cand are sorted
     var j = 0
     while (j < labels.length) {
       val c = labels(j)
@@ -579,9 +611,12 @@ object CpaCore {
         t += 1
       }
       p0 = math.min(0.95, math.max(0.01, p0))
-      val key = item.toLong * C + c
-      val scale = math.min(1.0, EffectiveVoters / math.max(1.0, st.nAns(item)))
-      val llr = scale * st.llr.getOrElse(key, 0.0)
+      var vote = 0.0
+      if (row != null) {
+        while (k < cand.length && cand(k) < c) k += 1
+        if (k < cand.length && cand(k) == c) vote = row(k)
+      }
+      val llr = scale * vote
       val logOdds = math.log(p0 / (1.0 - p0)) + llr
       out(j) = 1.0 / (1.0 + math.exp(-logOdds))
       j += 1

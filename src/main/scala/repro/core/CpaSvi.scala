@@ -2,7 +2,7 @@ package repro.core
 
 import repro.crowd.Answer
 
-import scala.collection.mutable
+import scala.reflect.ClassTag
 
 /** Algorithm 2 — stochastic variational inference for the CPA model
   * (online / incremental learning, §4.1).
@@ -41,11 +41,17 @@ final class CpaSvi(
     Array.fill(nItems)(repro.util.MathFn.normalise(Array.fill(T)(1.0 + 0.05 * rng.nextDouble())))
   }
 
-  // Per-item cumulative vote state (drives candidates and the truth layer).
-  private val voteCount = mutable.LongMap.empty[Int]
-  private val yhatMap = mutable.LongMap.empty[Double]
+  // Per-item candidate rows: cands(i) holds the labels voted for item i so
+  // far, sorted and distinct; votes(i) (vote counts), yh(i) (soft truth ŷ)
+  // and truth.llr(i) are aligned with it slot for slot, and ySize(i) = Σ_j
+  // yh(i)(j). A newly voted label is inserted into all four rows at its sorted
+  // position, so a batch reads and writes only the rows of its own items.
+  private val cands = Array.fill(nItems)(Array.emptyIntArray)
+  private val votes = Array.fill(nItems)(Array.emptyIntArray)
+  private val yh = Array.fill(nItems)(Array.emptyDoubleArray)
+  private val ySize = new Array[Double](nItems)
   // Cumulative truth-layer statistics for online prediction: per-item answer
-  // counts (nAns) and vote log-likelihood ratios (llr).
+  // counts (nAns) and vote log-likelihood ratios (llr rows, aligned with cands).
   private val truth = CpaCore.emptyStats(1, 1, 1, nItems)
 
   private val sensMc = Array.fill(M * nLabels)(0.65)
@@ -54,54 +60,67 @@ final class CpaSvi(
   private var batchIndex = 0
   private var answersSeen = 0L
   private var labelMassSeen = 0L
+  private var itemsSeen = 0
 
   /** Batches processed so far. */
   def batchesProcessed: Int = batchIndex
 
+  /** Vote counts of item `i`, aligned with its candidate labels. */
+  private[core] def votesOf(i: Int): Array[Int] = votes(i).clone()
+
   private def meanAnswerSize: Double =
     if (answersSeen == 0) 1.0 else labelMassSeen.toDouble / answersSeen
 
-  private def candOf(i: Int): Array[Int] = {
-    val b = mutable.ArrayBuilder.make[Int]
-    var c = 0
-    while (c < nLabels) {
-      if (voteCount.contains(i.toLong * nLabels + c)) b += c
-      c += 1
+  /** Slot of label `c` in item `i`'s candidate row. A new label is inserted
+    * at its sorted position with no votes, llr 0 and ŷ NaN (set once the
+    * batch's votes are counted).
+    */
+  private def slotOf(i: Int, c: Int): Int = {
+    val k = java.util.Arrays.binarySearch(cands(i), c)
+    if (k >= 0) k
+    else {
+      val j = -k - 1
+      cands(i) = CpaSvi.inserted(cands(i), j, c)
+      votes(i) = CpaSvi.inserted(votes(i), j, 0)
+      yh(i) = CpaSvi.inserted(yh(i), j, Double.NaN)
+      truth.llr(i) = CpaSvi.inserted(truth.llr(i), j, 0.0)
+      j
     }
-    b.result()
   }
-
-  private def yhatOf(i: Int, cand: Array[Int]): Array[Double] =
-    cand.map(c => yhatMap.getOrElse(i.toLong * nLabels + c, 0.0))
 
   /** Consume one batch of answers and perform a single SVI step. */
   def processBatch(batch: Seq[Answer]): Unit = {
     if (batch.isEmpty) return
+    CpaCore.requireValidLabels(batch, nLabels)
     batchIndex += 1
     val omega = math.pow(1.0 + batchIndex, -cfg.forgetRate)
 
     // --- Register votes; initialise new candidates from sharpened shares. ---
     batch.foreach { a =>
-      truth.nAns(a.item) += 1.0
+      val i = a.item
+      if (truth.nAns(i) == 0) { itemsSeen += 1; truth.llr(i) = Array.emptyDoubleArray }
+      truth.nAns(i) += 1.0
       answersSeen += 1
       labelMassSeen += a.labels.length
       a.labels.foreach { c =>
-        val k = a.item.toLong * nLabels + c
-        voteCount.update(k, voteCount.getOrElse(k, 0) + 1)
+        val j = slotOf(i, c) // may replace the row, so index it afterwards
+        votes(i)(j) += 1
       }
     }
     val batchItems = batch.map(_.item).distinct.toArray
     val batchWorkers = batch.map(_.worker).distinct.toArray
     batchItems.foreach { i =>
-      val base = i.toLong * nLabels
-      candOf(i).foreach { c =>
-        val share = voteCount(base + c).toDouble / math.max(1.0, truth.nAns(i))
-        val sharp = 1.0 / (1.0 + math.exp(-8.0 * (share - 0.5)))
-        if (!yhatMap.contains(base + c)) yhatMap.update(base + c, sharp)
+      val y = yh(i)
+      var j = 0
+      while (j < y.length) {
+        if (y(j).isNaN) {
+          val share = votes(i)(j).toDouble / math.max(1.0, truth.nAns(i))
+          y(j) = 1.0 / (1.0 + math.exp(-8.0 * (share - 0.5)))
+        }
+        j += 1
       }
+      ySize(i) = y.sum
     }
-    val candArr: Map[Int, Array[Int]] = batchItems.map(i => i -> candOf(i)).toMap
-    val yhatArr: Map[Int, Array[Double]] = batchItems.map(i => i -> yhatOf(i, candArr(i))).toMap
 
     // --- Derived expectations from the current globals. ---
     val clusterMass = new Array[Double](T)
@@ -113,8 +132,6 @@ final class CpaSvi(
       }
       i += 1
     }
-    val ySize = new Array[Double](nItems)
-    yhatMap.foreach { case (k, v) => ySize((k / nLabels).toInt) += v }
     val d = CpaCore.derive(g, clusterMass, phi, ySize, meanAnswerSize)
 
     // --- Local update: κ for the batch workers (Eq 2 on batch data). ---
@@ -127,33 +144,29 @@ final class CpaSvi(
     val st = CpaCore.emptyStats(T, M, nLabels, nItems)
     batch.foreach { a =>
       CpaCore.accumulate(st, a, kappa(a.worker), phi(a.item), d,
-        candArr(a.item), yhatArr(a.item), sensMc, fpMc)
+        cands(a.item), yh(a.item), sensMc, fpMc)
     }
 
     // --- Natural-gradient global updates (Eq 18-19), corpus size estimated
     // by the answers, items and workers seen so far. ---
-    val itemsSeen = truth.nAns.count(_ > 0)
     CpaCore.updateGlobals(g, cfg, omega,
       st.lamStat, math.max(1.0, answersSeen.toDouble / batch.size),
       batchWorkers, kappa, math.max(1.0, nWorkers.toDouble / batchWorkers.length),
-      batchItems, phi, candArr, yhatArr, math.max(1.0, itemsSeen.toDouble / batchItems.length))
+      batchItems, phi, cands(_), yh(_), math.max(1.0, itemsSeen.toDouble / batchItems.length))
 
     // --- ϕ and ŷ for batch items (mean-parameter mixing, Eq 15-17). ---
     // Merge batch vote statistics into the cumulative truth-layer state first.
-    st.llr.foreach { case (k, v) => truth.llr.update(k, truth.llr.getOrElse(k, 0.0) + v) }
+    batchItems.foreach(it => CpaCore.addInto(truth.llr(it), st.llr(it)))
     if (!cfg.noL) batchItems.foreach { it =>
-      CpaCore.blend(phi(it), CpaCore.phiRow(it, st.aIt, candArr(it), yhatArr(it), d), omega)
+      CpaCore.blend(phi(it), CpaCore.phiRow(it, st.aIt, cands(it), yh(it), d), omega)
     }
     batchItems.foreach { it =>
-      val cd = candArr(it)
-      val s = CpaCore.inclusionScores(it, cd, phi(it), d, truth)
+      val cd = cands(it)
+      val y = yh(it)
+      val s = CpaCore.inclusionScores(it, cd, cd, phi(it), d, truth)
       var j = 0
-      while (j < cd.length) {
-        val key = it.toLong * nLabels + cd(j)
-        val old = yhatMap.getOrElse(key, 0.0)
-        yhatMap.update(key, 0.5 * old + 0.5 * s(j))
-        j += 1
-      }
+      while (j < cd.length) { y(j) = 0.5 * y(j) + 0.5 * s(j); j += 1 }
+      ySize(it) = y.sum
     }
 
     // --- Community coin re-estimation (blended). ---
@@ -163,19 +176,27 @@ final class CpaSvi(
   }
 
   /** Snapshot the current state as a [[CpaModel]] for (online) prediction.
-    * The truth statistics are copied, so later batches leave the snapshot as is.
+    * The candidate rows, ŷ and truth statistics are copied, so later batches
+    * leave the snapshot as is.
     */
   def toModel: CpaModel = {
-    val cand = Array.tabulate(nItems)(candOf)
-    val yhat = Array.tabulate(nItems)(i => yhatOf(i, cand(i)))
-    val ySize = Array.tabulate(nItems)(i => yhat(i).sum)
     val d = CpaCore.derive(g, CpaCore.colSums(phi), phi, ySize, meanAnswerSize)
-    new CpaModel(cfg, nItems, nWorkers, nLabels, g, kappa, phi, cand, yhat, d,
+    new CpaModel(cfg, nItems, nWorkers, nLabels, g, kappa, phi,
+      cands.map(_.clone()), yh.map(_.clone()), d,
       CpaCore.emptyStats(1, 1, 1, nItems).merge(truth), sensMc, fpMc, batchIndex)
   }
 }
 
 object CpaSvi {
+  /** `row` with `x` inserted at index `j`. */
+  private def inserted[A: ClassTag](row: Array[A], j: Int, x: A): Array[A] = {
+    val out = new Array[A](row.length + 1)
+    System.arraycopy(row, 0, out, 0, j)
+    out(j) = x
+    System.arraycopy(row, j, out, j + 1, row.length - j)
+    out
+  }
+
   /** Convenience: run SVI over a full answer set split into batches of
     * `cfg.batchFraction` of the data (shuffled deterministically by `seed`).
     */

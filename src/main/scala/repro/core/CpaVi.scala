@@ -53,7 +53,7 @@ final class CpaModel(
     }
     cand(i).foreach(extra += _)
     val labels = extra.toArray
-    val s = CpaCore.inclusionScores(i, labels, phi(i), derived, lastStats)
+    val s = CpaCore.inclusionScores(i, labels, cand(i), phi(i), derived, lastStats)
     val order = labels.indices.sortBy(j => -s(j))
     val out = scala.collection.mutable.ArrayBuffer.empty[Int]
     var k = 0
@@ -87,13 +87,15 @@ object CpaVi {
 
   /** Fit CPA with an explicit engine. `initAnswers` is only used for the
     * initialisation heuristics (informative ϕ init, initial ŷ); engines that
-    * cannot cheaply materialise answers locally may pass a sample.
+    * cannot cheaply materialise answers locally may pass a sample. Every
+    * answer's labels must be strictly increasing within [0, nLabels).
     */
   def fitEngine(engine: CpaEngine, initAnswers: Seq[Answer],
       nItems: Int, nWorkers: Int, nLabels: Int,
       cfg: CpaConfig = CpaConfig(),
       knownY: Map[Int, Array[Int]] = Map.empty): CpaModel = {
     require(cfg.maxIter >= 1, "at least one VI iteration is required")
+    CpaCore.requireValidLabels(initAnswers, nLabels)
     val g = CpaCore.initGlobals(cfg, nItems, nWorkers, nLabels)
     val T = g.T
     val M = g.M
@@ -130,6 +132,7 @@ object CpaVi {
     // few clusters before any data has spoken.
     updateGlobals(engine.bootstrapLambda(T, M, nLabels, kappa, phi))
 
+    val nCandTotal = cand.iterator.map(_.length).sum
     var d: CpaCore.Derived = null
     var st: CpaCore.SuffStats = null
     var iter = 0
@@ -171,7 +174,7 @@ object CpaVi {
       var i = 0
       while (i < nItems) {
         if (!knownY.contains(i)) {
-          val s = CpaCore.inclusionScores(i, cand(i), phi(i), d, st)
+          val s = CpaCore.inclusionScores(i, cand(i), cand(i), phi(i), d, st)
           var j = 0
           while (j < s.length) {
             // Damped update stabilises the truth-estimation fixed point.
@@ -181,7 +184,6 @@ object CpaVi {
         }
         i += 1
       }
-      val nCandTotal = cand.iterator.map(_.length).sum
       val yDeltaMean = yDelta / math.max(1, nCandTotal)
       if (cfg.noL) delta = yDeltaMean
 

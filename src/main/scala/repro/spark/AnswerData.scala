@@ -1,6 +1,7 @@
 package repro.spark
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import repro.core.CpaCore
 import repro.crowd.{Answer, CrowdDataset}
 
 /** Row type for the answers DataFrame: one row per (item, worker) pair with
@@ -14,10 +15,14 @@ final case class AnswerRow(item: Int, worker: Int, labels: Seq[Int])
   */
 object AnswerData {
 
-  /** Answers as a typed Dataset. */
+  /** `a` with its labels sorted and distinct, as [[Answer]] documents them. */
+  def normalise(a: Answer): Answer =
+    if (CpaCore.strictlyIncreasing(a.labels)) a else a.copy(labels = a.labels.distinct.sorted)
+
+  /** Answers as a typed Dataset; labels are stored sorted and distinct. */
   def toDs(spark: SparkSession, answers: Seq[Answer], partitions: Int = 8): Dataset[AnswerRow] = {
     import spark.implicits._
-    spark.createDataset(answers.map(a => AnswerRow(a.item, a.worker, a.labels.toSeq)))
+    spark.createDataset(answers.map(a => AnswerRow(a.item, a.worker, normalise(a).labels.toSeq)))
       .repartition(partitions)
   }
 

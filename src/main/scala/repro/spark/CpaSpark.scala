@@ -94,27 +94,27 @@ object CpaSpark {
         it.foreach(r => CpaCore.accumulateLambda(stat, r.labels.toArray, bPhi.value(r.item),
           bKappa.value(r.worker), C))
         Iterator.single(stat)
-      }(Encoders.kryo[Array[Double]]).reduce { (x, y) =>
-        var i = 0
-        while (i < x.length) { x(i) += y(i); i += 1 }
-        x
-      }
+      }(Encoders.kryo[Array[Double]]).reduce { (x, y) => CpaCore.addInto(x, y); x }
       bKappa.destroy(); bPhi.destroy()
       result
     }
   }
 
-  /** Fit CPA on Spark: same VI loop as [[CpaVi]], distributed data passes. */
+  /** Fit CPA on Spark: same VI loop as [[CpaVi]], distributed data passes.
+    * Labels are sorted and de-duplicated first, so the fit equals the local
+    * fit on the normalised answers.
+    */
   def fit(spark: SparkSession, answers: Seq[Answer],
       nItems: Int, nWorkers: Int, nLabels: Int,
       cfg: CpaConfig = CpaConfig(), partitions: Int = 8): CpaModel = {
-    val ds = AnswerData.toDs(spark, answers, partitions).cache()
+    val clean = answers.map(AnswerData.normalise)
+    val ds = AnswerData.toDs(spark, clean, partitions).cache()
     try {
       val meanSize =
-        if (answers.isEmpty) 1.0
-        else answers.iterator.map(_.labels.length).sum.toDouble / answers.size
-      val engine = new SparkEngine(spark, ds, answers.size.toLong, meanSize)
-      CpaVi.fitEngine(engine, answers, nItems, nWorkers, nLabels, cfg)
+        if (clean.isEmpty) 1.0
+        else clean.iterator.map(_.labels.length).sum.toDouble / clean.size
+      val engine = new SparkEngine(spark, ds, clean.size.toLong, meanSize)
+      CpaVi.fitEngine(engine, clean, nItems, nWorkers, nLabels, cfg)
     } finally ds.unpersist()
   }
 

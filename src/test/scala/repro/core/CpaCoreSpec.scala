@@ -153,12 +153,14 @@ class CpaCoreSpec extends AnyFunSuite {
 
   test("accumulate llr entries cover exactly the candidate labels of answered items") {
     val (_, _, phi, kappa, cand, yhat, d) = freshState()
-    val st = emptyStats(4, 2, C, I)
+    // One more item than answered: its row must stay unallocated.
+    val st = emptyStats(4, 2, C, I + 1)
     val sens = Array.fill(2 * C)(0.65); val fp = Array.fill(2 * C)(0.08)
     answers.foreach(a =>
       accumulate(st, a, kappa(a.worker), phi(a.item), d, cand(a.item), yhat(a.item), sens, fp))
-    val expected = (0 until I).flatMap(i => cand(i).map(c => i.toLong * C + c)).toSet
-    assert(st.llr.keySet == expected)
+    assert(st.llr.length == I + 1)
+    (0 until I).foreach(i => assert(st.llr(i) != null && st.llr(i).length == cand(i).length, s"llr($i)"))
+    assert(st.llr(I) == null)
   }
 
   test("a voted label accumulates more llr than an omitted one") {
@@ -167,28 +169,94 @@ class CpaCoreSpec extends AnyFunSuite {
     val sens = Array.fill(2 * C)(0.65); val fp = Array.fill(2 * C)(0.08)
     answers.foreach(a =>
       accumulate(st, a, kappa(a.worker), phi(a.item), d, cand(a.item), yhat(a.item), sens, fp))
-    // item 0: label 1 voted by both workers, label 0 voted by one of two.
-    assert(st.llr(0L * C + 1) > st.llr(0L * C + 0))
+    // item 0 (candidates 0, 1): label 1 voted by both workers, label 0 by one of two.
+    assert(cand(0).sameElements(Array(0, 1)))
+    assert(st.llr(0)(1) > st.llr(0)(0))
   }
 
   test("SuffStats.merge equals accumulating everything in one buffer") {
     val (_, _, phi, kappa, cand, yhat, d) = freshState()
     val sens = Array.fill(2 * C)(0.65); val fp = Array.fill(2 * C)(0.08)
-    val whole = emptyStats(4, 2, C, I)
-    answers.foreach(a =>
-      accumulate(whole, a, kappa(a.worker), phi(a.item), d, cand(a.item), yhat(a.item), sens, fp))
-    val (left, right) = answers.splitAt(3)
-    val p1 = emptyStats(4, 2, C, I)
-    left.foreach(a =>
-      accumulate(p1, a, kappa(a.worker), phi(a.item), d, cand(a.item), yhat(a.item), sens, fp))
-    val p2 = emptyStats(4, 2, C, I)
-    right.foreach(a =>
-      accumulate(p2, a, kappa(a.worker), phi(a.item), d, cand(a.item), yhat(a.item), sens, fp))
-    val merged = p1.merge(p2)
-    whole.lamStat.zip(merged.lamStat).foreach { case (a, b) => assert(math.abs(a - b) < 1e-12) }
-    whole.aIt.zip(merged.aIt).foreach { case (a, b) => assert(math.abs(a - b) < 1e-12) }
-    whole.llr.foreach { case (k, v) => assert(math.abs(merged.llr(k) - v) < 1e-12) }
-    whole.ansMassM.zip(merged.ansMassM).foreach { case (a, b) => assert(math.abs(a - b) < 1e-12) }
+    def stats(as: Seq[Answer]) = {
+      val st = emptyStats(4, 2, C, I)
+      as.foreach(a =>
+        accumulate(st, a, kappa(a.worker), phi(a.item), d, cand(a.item), yhat(a.item), sens, fp))
+      st
+    }
+    val whole = stats(answers)
+    // splitAt(3) shares item 1 between the sides; the item split leaves one
+    // side without any answer for item 0 (a null llr row on that side).
+    for ((left, right) <- Seq(answers.splitAt(3), answers.partition(_.item == 0))) {
+      val p1 = stats(left)
+      val p2 = stats(right)
+      val merged = p1.merge(p2)
+      whole.lamStat.zip(merged.lamStat).foreach { case (a, b) => assert(math.abs(a - b) < 1e-12) }
+      whole.aIt.zip(merged.aIt).foreach { case (a, b) => assert(math.abs(a - b) < 1e-12) }
+      (0 until I).foreach(i => assertClose(merged.llr(i), whole.llr(i), s"llr($i)"))
+      whole.ansMassM.zip(merged.ansMassM).foreach { case (a, b) => assert(math.abs(a - b) < 1e-12) }
+    }
+    // Merging into a side that never saw item 0 copies the row, not aliases it.
+    val q1 = stats(answers.filter(_.item != 0))
+    val q2 = stats(answers.filter(_.item == 0))
+    assert(q1.llr(0) == null)
+    q1.merge(q2)
+    assert(q1.llr(0) ne q2.llr(0))
+    assertClose(q1.llr(0), q2.llr(0), "llr(0)")
+  }
+
+  test("merging any two-way split equals the whole, and llr slots are per-(item, label) sums") {
+    import org.scalacheck.{Gen, Prop, Test}
+    val genAnswers = for {
+      nItems <- Gen.choose(1, 4)
+      nLabels <- Gen.choose(1, 5)
+      n <- Gen.choose(1, 12)
+      as <- Gen.listOfN(n, for {
+        i <- Gen.choose(0, nItems - 1)
+        u <- Gen.choose(0, 2)
+        ls <- Gen.nonEmptyContainerOf[Set, Int](Gen.choose(0, nLabels - 1))
+      } yield Answer(i, u, ls.toArray.sorted))
+      split <- Gen.listOfN(n, Gen.oneOf(true, false))
+    } yield (nItems, nLabels, as.toVector, split)
+    val prop = Prop.forAllNoShrink(genAnswers) { case (nItems, nLabels, as, split) =>
+      val cfg = CpaConfig(T = 3, M = 2)
+      val g = initGlobals(cfg, nItems, 3, nLabels)
+      val phi = initPhi(as, nItems, g.T, 1)
+      val kappa = initKappa(3, g.M, 1)
+      val cand = candidates(as, nItems)
+      val yhat = initYhat(as, nItems, cand)
+      val d = derive(g, colSums(phi), phi, yhat.map(_.sum), 1.5)
+      val sens = Array.fill(g.M * nLabels)(0.65); val fp = Array.fill(g.M * nLabels)(0.08)
+      def stats(xs: Seq[Answer]) = {
+        val st = emptyStats(g.T, g.M, nLabels, nItems)
+        xs.foreach(a =>
+          accumulate(st, a, kappa(a.worker), phi(a.item), d, cand(a.item), yhat(a.item), sens, fp))
+        st
+      }
+      val whole = stats(as)
+      val (l, r) = as.zip(split).partition(_._2)
+      val merged = stats(l.map(_._1)).merge(stats(r.map(_._1)))
+      // Naive reference: each answer alone, summed per (item, label).
+      val naive = scala.collection.mutable.Map.empty[(Int, Int), Double].withDefaultValue(0.0)
+      as.foreach { a =>
+        val row = stats(Seq(a)).llr(a.item)
+        cand(a.item).indices.foreach(j => naive((a.item, cand(a.item)(j))) += row(j))
+      }
+      def close(x: Double, y: Double) = math.abs(x - y) < 1e-9
+      (0 until nItems).forall { i =>
+        val answered = as.exists(_.item == i)
+        (if (!answered) whole.llr(i) == null && merged.llr(i) == null
+        else whole.llr(i).length == cand(i).length &&
+          cand(i).indices.forall(j =>
+            close(merged.llr(i)(j), whole.llr(i)(j)) && close(whole.llr(i)(j), naive((i, cand(i)(j)))))) &&
+          close(merged.nAns(i), whole.nAns(i))
+      } && whole.lamStat.indices.forall(k => close(merged.lamStat(k), whole.lamStat(k))) &&
+        whole.aIt.indices.forall(k => close(merged.aIt(k), whole.aIt(k))) &&
+        whole.tpMc.indices.forall(k => close(merged.tpMc(k), whole.tpMc(k)) &&
+          close(merged.fpMc(k), whole.fpMc(k)) && close(merged.negAdjMc(k), whole.negAdjMc(k)))
+    }
+    val res = Test.check(
+      Test.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(42L), prop)
+    assert(res.passed, res.status.toString)
   }
 
   test("communityCoins stays within its configured bounds") {
@@ -208,10 +276,30 @@ class CpaCoreSpec extends AnyFunSuite {
     val sens = Array.fill(2 * C)(0.65); val fp = Array.fill(2 * C)(0.08)
     answers.foreach(a =>
       accumulate(st, a, kappa(a.worker), phi(a.item), d, cand(a.item), yhat(a.item), sens, fp))
-    val s = inclusionScores(0, cand(0), phi(0), d, st)
+    val s = inclusionScores(0, cand(0), cand(0), phi(0), d, st)
     s.foreach(v => assert(v >= 0 && v <= 1))
     // label 1 (2/2 votes) must beat label 0 (1/2 votes) on item 0
     assert(s(1) > s(0))
+  }
+
+  test("inclusionScores of a label outside the candidates is the prior-only score") {
+    val (_, _, phi, kappa, cand, yhat, d) = freshState()
+    val st = emptyStats(4, 2, C, I)
+    val sens = Array.fill(2 * C)(0.65); val fp = Array.fill(2 * C)(0.08)
+    answers.foreach(a =>
+      accumulate(st, a, kappa(a.worker), phi(a.item), d, cand(a.item), yhat(a.item), sens, fp))
+    // item 0: candidates {0, 1}; label 3 was voted by nobody.
+    val s = inclusionScores(0, Array(1, 3), cand(0), phi(0), d, st)
+    def prior(c: Int) = {
+      var p0 = 0.0
+      for (t <- phi(0).indices) p0 += phi(0)(t) * math.min(0.97, d.nbar(t) * d.phiHat(t)(c))
+      math.min(0.95, math.max(0.01, p0))
+    }
+    assert(math.abs(s(1) - prior(3)) < 1e-12) // σ(logit p0) = p0: no vote evidence
+    // Candidate label 1 reads its own llr slot (cand(0)(1)); item 0 has
+    // fewer answers than EffectiveVoters, so the evidence is unscaled.
+    val logOdds = math.log(prior(1) / (1.0 - prior(1))) + st.llr(0)(1)
+    assert(math.abs(s(0) - 1.0 / (1.0 + math.exp(-logOdds))) < 1e-12)
   }
 
   /** ζ0 + scale·Σ_{i∈items} ϕ_it ŷ_ic (Eq 7 target), written out per entry. */

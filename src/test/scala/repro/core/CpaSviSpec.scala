@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines.MajorityVote
-import repro.crowd.{Datasets, Metrics}
+import repro.crowd.{Answer, Datasets, Metrics}
 
 class CpaSviSpec extends AnyFunSuite {
   private lazy val ds = Datasets.generate("image", sf = 0.15)
@@ -74,6 +74,41 @@ class CpaSviSpec extends AnyFunSuite {
     online.globals.lambda.foreach(_.foreach(_.foreach(v => assert(v > 0))))
     online.globals.zeta.foreach(_.foreach(v => assert(v > 0)))
     online.globals.rho1.foreach(v => assert(v >= 1.0 - 1e-9))
+  }
+
+  test("a label voted in a later batch is inserted before an earlier one, keeping its slots") {
+    // noZ fixes κ, so worker 2's evidence for label 5 in batch 2 is the same
+    // whether or not it also votes label 2.
+    val cfg = CpaConfig(noZ = true)
+    val batch1 = Seq(Answer(0, 0, Array(5)), Answer(0, 1, Array(5)), Answer(1, 3, Array(1)))
+    def run(batch2: Seq[Answer]): (CpaSvi, CpaModel, CpaModel) = {
+      val svi = new CpaSvi(cfg, 3, 4, 8)
+      svi.processBatch(batch1)
+      val first = svi.toModel
+      svi.processBatch(batch2)
+      (svi, first, svi.toModel)
+    }
+    val (grown, first, after) = run(Seq(Answer(0, 2, Array(2, 5))))
+    val (same, _, ref) = run(Seq(Answer(0, 2, Array(5))))
+    assert(after.cand(0).sameElements(Array(2, 5)))
+    assert(grown.votesOf(0).sameElements(Array(1, 3)))
+    assert(ref.cand(0).sameElements(Array(5)) && same.votesOf(0).sameElements(Array(3)))
+    // Label 5's llr moved to slot 1 and kept accumulating there.
+    assert(after.lastStats.llr(0).length == 2)
+    assert(after.lastStats.llr(0)(1) == ref.lastStats.llr(0)(0))
+    assert(after.lastStats.llr(0)(1) != first.lastStats.llr(0)(0))
+    // ŷ of label 5 stays the unanimous, near-certain one; label 2 (1 of 3) is lower.
+    assert(math.abs(after.yhat(0)(1) - ref.yhat(0)(0)) < math.abs(after.yhat(0)(0) - ref.yhat(0)(0)))
+    assert(after.yhat(0)(1) > after.yhat(0)(0))
+    // The earlier snapshot is unchanged by the insert.
+    assert(first.cand(0).sameElements(Array(5)) && first.lastStats.llr(0).length == 1)
+    assert(first.yhat(0).length == 1)
+  }
+  test("processBatch rejects unsorted, duplicated or out-of-range labels") {
+    val svi = new CpaSvi(CpaConfig(), 2, 2, 3)
+    for (bad <- Seq(Array(2, 0), Array(1, 1), Array(0, 3)))
+      intercept[IllegalArgumentException](svi.processBatch(Seq(Answer(0, 0, bad))))
+    assert(svi.batchesProcessed == 0)
   }
 
   private lazy val small = Datasets.generate("movie", sf = 0.1)

@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines.MajorityVote
 import repro.crowd.CrowdSim.{Config, WorkerMix}
-import repro.crowd.{CrowdSim, Datasets, Metrics, WorkerType}
+import repro.crowd.{Answer, CrowdSim, Datasets, Metrics, WorkerType}
 
 class CpaViSpec extends AnyFunSuite {
   private lazy val ds = Datasets.generate("image", sf = 0.15)
@@ -123,6 +123,16 @@ class CpaViSpec extends AnyFunSuite {
     intercept[IllegalArgumentException] {
       CpaVi.fit(ds.answers, ds.nItems, ds.nWorkers, ds.nLabels, CpaConfig(maxIter = 0))
     }
+  }
+  test("rejects answers whose labels are unsorted, duplicated or out of range") {
+    val good = Vector(Answer(0, 0, Array(0, 2)), Answer(1, 1, Array(1)))
+    for (bad <- Seq(Array(2, 0), Array(1, 1), Array(-1, 2), Array(0, 3))) {
+      val e = intercept[IllegalArgumentException] {
+        CpaVi.fit(good :+ Answer(1, 0, bad), 2, 2, 3, CpaConfig(maxIter = 1))
+      }
+      assert(e.getMessage.contains("strictly increasing"), e.getMessage)
+    }
+    CpaVi.fit(good, 2, 2, 3, CpaConfig(maxIter = 1))
   }
   test("model exposes argmax accessors within range") {
     (0 until ds.nWorkers).foreach(u =>

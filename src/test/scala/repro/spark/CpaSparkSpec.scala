@@ -62,6 +62,20 @@ class CpaSparkSpec extends SparkSpec {
     } finally data.unpersist()
   }
 
+  test("a Spark fit on shuffled, duplicated labels equals the local fit on normalised ones") {
+    val rng = new scala.util.Random(5)
+    val messy = ds.answers.map(a => a.copy(labels = rng.shuffle((a.labels :+ a.labels.head).toSeq).toArray))
+    assert(messy.exists(a => !CpaCore.strictlyIncreasing(a.labels)))
+    val fromMessy = CpaSpark.fit(spark, messy, ds.nItems, ds.nWorkers, ds.nLabels, cfg)
+    assert(fromMessy.iterations == local.iterations)
+    (0 until ds.nItems).foreach { i =>
+      assert(fromMessy.predictItem(i).sameElements(local.predictItem(i)), s"item $i")
+      assert(fromMessy.cand(i).sameElements(local.cand(i)), s"cand($i)")
+      local.phi(i).zip(fromMessy.phi(i)).foreach { case (a, b) => assert(math.abs(a - b) < 1e-6, s"phi($i)") }
+    }
+    AnswerData.toDs(spark, messy).collect().foreach(r =>
+      assert(CpaCore.strictlyIncreasing(r.labels.toArray), r.toString))
+  }
   test("AnswerData round-trips answers through a Dataset") {
     val back = AnswerData.collect(AnswerData.toDs(spark, ds.answers))
     assert(back.size == ds.answers.size)
