@@ -145,6 +145,15 @@ object CpaCore {
     j >= labels.length
   }
 
+  /** Reject any answer whose item or worker id is outside [0, nItems) or
+    * [0, nWorkers).
+    */
+  def requireValidIds(answers: Iterable[Answer], nItems: Int, nWorkers: Int): Unit =
+    answers.foreach { a =>
+      require(a.item >= 0 && a.item < nItems && a.worker >= 0 && a.worker < nWorkers,
+        s"$a: item id must be within [0, $nItems) and worker id within [0, $nWorkers)")
+    }
+
   /** Reject any answer whose labels are not strictly increasing within
     * [0, nLabels).
     */
@@ -252,9 +261,9 @@ object CpaCore {
   }
 
   /** Candidate label set per item = labels voted by at least one worker. */
-  def candidates(answers: Seq[Answer], nItems: Int): Array[Array[Int]] = {
+  def candidates(answers: IterableOnce[Answer], nItems: Int): Array[Array[Int]] = {
     val sets = Array.fill(nItems)(mutable.SortedSet.empty[Int])
-    answers.foreach(a => a.labels.foreach(sets(a.item) += _))
+    answers.iterator.foreach(a => a.labels.foreach(sets(a.item) += _))
     sets.map(_.toArray)
   }
 
@@ -394,31 +403,37 @@ object CpaCore {
     * worker's answers (terms constant in m dropped).
     */
   def kappaRow(workerAnswers: Seq[Answer], phi: Array[Array[Double]], d: Derived): Array[Double] = {
-    val M = d.elnPi.length
-    val T = d.elnTau.length
     val logits = d.elnPi.clone()
-    workerAnswers.foreach { a =>
-      val phiRow = phi(a.item)
-      var m = 0
-      while (m < M) {
-        var s = 0.0
-        var t = 0
-        while (t < T) {
-          val p = phiRow(t)
-          if (p > 1e-12) {
-            val row = d.dlam(t)(m)
-            var j = 0
-            var e = 0.0
-            while (j < a.labels.length) { e += row(a.labels(j)); j += 1 }
-            s += p * e
-          }
-          t += 1
-        }
-        logits(m) += s
-        m += 1
-      }
-    }
+    workerAnswers.foreach(a => addKappaLogits(logits, a.labels, phi(a.item), d.dlam))
     softmaxInPlace(logits)
+  }
+
+  /** Add one answer's Eq 2 term Σ_t ϕ_it Σ_{c ∈ labels} E[ln ψ_tmc] to the
+    * worker's logits (M). The terms are additive over answers, so partial
+    * sums over any split of a worker's answers add up to the same logits.
+    */
+  def addKappaLogits(logits: Array[Double], labels: Array[Int], phiRow: Array[Double],
+      dlam: Array[Array[Array[Double]]]): Unit = {
+    val M = logits.length
+    val T = dlam.length
+    var m = 0
+    while (m < M) {
+      var s = 0.0
+      var t = 0
+      while (t < T) {
+        val p = phiRow(t)
+        if (p > 1e-12) {
+          val row = dlam(t)(m)
+          var j = 0
+          var e = 0.0
+          while (j < labels.length) { e += row(labels(j)); j += 1 }
+          s += p * e
+        }
+        t += 1
+      }
+      logits(m) += s
+      m += 1
+    }
   }
 
   /** Weight of omission evidence relative to positive-vote evidence. In
@@ -464,15 +479,16 @@ object CpaCore {
   }
 
   /** Accumulate one answer's contribution into the iteration statistics.
-    * Used identically by the local loop and by Spark executors.
+    * Used identically by the local loop and by Spark executors; of the
+    * derived quantities it reads only `dlam` = E[ln ψ] (T×M×C).
     */
   def accumulate(st: SuffStats, a: Answer, kapU: Array[Double],
-      phiRowOld: Array[Double], d: Derived,
+      phiRowOld: Array[Double], dlam: Array[Array[Array[Double]]],
       cand: Array[Int], yhatRow: Array[Double],
       sensMc: Array[Double], fpMc: Array[Double]): Unit = {
-    val T = d.elnTau.length
-    val M = d.elnPi.length
-    val C = d.dlam(0)(0).length
+    val T = dlam.length
+    val M = kapU.length
+    val C = dlam(0)(0).length
     // λ statistic (Eq 6) and a_it (answer term of the ϕ update / Eq 15).
     var t = 0
     while (t < T) {
@@ -482,7 +498,7 @@ object CpaCore {
       while (m < M) {
         val k = kapU(m)
         if (k > 1e-12) {
-          val row = d.dlam(t)(m)
+          val row = dlam(t)(m)
           var e = 0.0
           var j = 0
           while (j < a.labels.length) { e += row(a.labels(j)); j += 1 }

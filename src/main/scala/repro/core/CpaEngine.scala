@@ -72,7 +72,7 @@ final class LocalEngine(answers: Seq[repro.crowd.Answer]) extends CpaEngine {
       d: CpaCore.Derived, sensMc: Array[Double], fpMc: Array[Double]): CpaCore.SuffStats = {
     val st = CpaCore.emptyStats(T, M, C, I)
     answers.foreach { a =>
-      CpaCore.accumulate(st, a, kappa(a.worker), phi(a.item), d,
+      CpaCore.accumulate(st, a, kappa(a.worker), phi(a.item), d.dlam,
         cand(a.item), yhat(a.item), sensMc, fpMc)
     }
     st

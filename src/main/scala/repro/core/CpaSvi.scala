@@ -143,7 +143,7 @@ final class CpaSvi(
     // --- Batch sufficient statistics. ---
     val st = CpaCore.emptyStats(T, M, nLabels, nItems)
     batch.foreach { a =>
-      CpaCore.accumulate(st, a, kappa(a.worker), phi(a.item), d,
+      CpaCore.accumulate(st, a, kappa(a.worker), phi(a.item), d.dlam,
         cands(a.item), yh(a.item), sensMc, fpMc)
     }
 

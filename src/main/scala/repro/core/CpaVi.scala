@@ -88,13 +88,16 @@ object CpaVi {
   /** Fit CPA with an explicit engine. `initAnswers` is only used for the
     * initialisation heuristics (informative ϕ init, initial ŷ); engines that
     * cannot cheaply materialise answers locally may pass a sample. Every
-    * answer's labels must be strictly increasing within [0, nLabels).
+    * answer's item and worker ids must lie within [0, nItems) and
+    * [0, nWorkers), and its labels must be strictly increasing within
+    * [0, nLabels).
     */
   def fitEngine(engine: CpaEngine, initAnswers: Seq[Answer],
       nItems: Int, nWorkers: Int, nLabels: Int,
       cfg: CpaConfig = CpaConfig(),
       knownY: Map[Int, Array[Int]] = Map.empty): CpaModel = {
     require(cfg.maxIter >= 1, "at least one VI iteration is required")
+    CpaCore.requireValidIds(initAnswers, nItems, nWorkers)
     CpaCore.requireValidLabels(initAnswers, nLabels)
     val g = CpaCore.initGlobals(cfg, nItems, nWorkers, nLabels)
     val T = g.T

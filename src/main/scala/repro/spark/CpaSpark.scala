@@ -1,22 +1,35 @@
 package repro.spark
 
-import org.apache.spark.sql.{Dataset, Encoder, Encoders, SparkSession}
+import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core._
 import repro.crowd.Answer
+import repro.util.MathFn.softmaxInPlace
 
-/** Algorithm 3 — the MapReduce-parallelised CPA inference, realised on the
-  * Spark Dataset API (the paper's own scalability experiments ran on Apache
-  * Spark, §5.1).
+import scala.reflect.ClassTag
+
+/** Algorithm 3 — the MapReduce-parallelised CPA inference on Spark (the
+  * paper's own scalability experiments ran on Apache Spark, §5.1).
   *
-  * Per iteration:
-  *  1. MAP phase 1: `groupByKey(worker).mapGroups` computes κ_u (Eq 2) for
-  *     every worker from its answers, with the global parameters broadcast.
-  *  2. MAP phase 2 + REDUCE: `mapPartitions` accumulates the per-answer
+  * The cached answers are read as an RDD, decoded once per pass and
+  * coalesced without a shuffle to one partition per core. Each engine pass is
+  * one narrow stage over them: a `mapPartitions` that folds the partition's
+  * answers through a [[CpaCore]] kernel, and a collect or `reduce` of one
+  * value per partition on the driver. Per iteration:
+  *  1. MAP phase 1 (Eq 2): each partition emits, for every worker it holds,
+  *     the partial κ logits of that worker's answers there
+  *     ([[CpaCore.addKappaLogits]]). The logits are additive over answers, so
+  *     the driver's sum of the partials plus E[ln π], through a softmax, is
+  *     κ_u for any partitioning, with no `groupByKey` shuffle.
+  *  2. MAP phase 2 + REDUCE: each partition accumulates its answers'
   *     sufficient statistics ([[CpaCore.accumulate]]: λ-statistic, a_it,
-  *     truth-layer votes, community coins) into one dense buffer per
-  *     partition, then a single `reduce` merges them — exactly the
-  *     "emit {κ_um, a_it} / accumulate" structure of the paper's Algorithm 3.
-  *  3. The (small) global updates run on the driver and are re-broadcast.
+  *     truth-layer votes, community coins) into one dense buffer, and a
+  *     `reduce` merges the buffers — the "emit {κ_um, a_it} / accumulate"
+  *     structure of the paper's Algorithm 3.
+  *  3. The (small) global updates run on the driver.
+  * Each pass broadcasts one value holding only what its kernel reads, and
+  * destroys it when the pass ends.
   *
   * Prediction is a `groupBy(item)`-shaped pass: one task per item slice
   * applies the greedy MAP instantiation independently (§3.4, "instantiation
@@ -24,80 +37,91 @@ import repro.crowd.Answer
   */
 object CpaSpark {
 
-  private implicit def statsEncoder: Encoder[CpaCore.SuffStats] =
-    Encoders.kryo[CpaCore.SuffStats]
-  private implicit def kappaEncoder: Encoder[(Int, Array[Double])] =
-    Encoders.kryo[(Int, Array[Double])]
+  /** What the κ kernel reads (broadcast by [[SparkEngine.computeKappa]]). */
+  private final case class KappaInput(phi: Array[Array[Double]], dlam: Array[Array[Array[Double]]])
 
-  /** Spark-backed [[CpaEngine]]: the two data passes run on executors. */
+  /** What the statistics kernel reads (broadcast by [[SparkEngine.computeStats]]). */
+  private final case class StatsInput(kappa: Array[Array[Double]], phi: Array[Array[Double]],
+      cand: Array[Array[Int]], yhat: Array[Array[Double]], dlam: Array[Array[Array[Double]]],
+      sensMc: Array[Double], fpMc: Array[Double])
+
+  /** What the λ-bootstrap kernel reads (broadcast by [[SparkEngine.bootstrapLambda]]). */
+  private final case class LambdaInput(kappa: Array[Array[Double]], phi: Array[Array[Double]])
+
+  /** Spark-backed [[CpaEngine]] over cached answers: every pass is one narrow
+    * stage with one task per core.
+    */
   final class SparkEngine(spark: SparkSession, ds: Dataset[AnswerRow],
       val nAnswers: Long, val meanAnswerSize: Double) extends CpaEngine {
+    private val sc = spark.sparkContext
+
+    /** The answers of `ds`, decoded once per pass, one partition per core. */
+    private[spark] lazy val answers: RDD[Answer] =
+      ds.rdd.map(r => Answer(r.item, r.worker, r.labels.toArray))
+        .coalesce(sc.defaultParallelism)
+
+    /** Run `pass` with `value` broadcast, and destroy the broadcast after it. */
+    private def withBroadcast[V: ClassTag, R](value: V)(pass: Broadcast[V] => R): R = {
+      val b = sc.broadcast(value)
+      try pass(b) finally b.destroy()
+    }
 
     override def candidates(nItems: Int): Array[Array[Int]] = {
-      import org.apache.spark.sql.functions._
-      val rows = ds.select(col("item"), explode(col("labels")).as("label"))
-        .distinct().collect()
       val sets = Array.fill(nItems)(scala.collection.mutable.SortedSet.empty[Int])
-      rows.foreach(r => sets(r.getInt(0)) += r.getInt(1))
+      answers.mapPartitions { it =>
+        val cand = CpaCore.candidates(it, nItems)
+        cand.indices.iterator.filter(cand(_).nonEmpty).map(i => (i, cand(i)))
+      }.collect().foreach { case (i, ls) => sets(i) ++= ls }
       sets.map(_.toArray)
     }
 
     override def computeKappa(kappa: Array[Array[Double]], phi: Array[Array[Double]],
         d: CpaCore.Derived): Array[Array[Double]] = {
-      val sc = spark.sparkContext
-      val bPhi = sc.broadcast(phi)
-      val bD = sc.broadcast(d)
-      val rows = ds.groupByKey(_.worker)(Encoders.scalaInt)
-        .mapGroups { (u, it) =>
-          val answers = it.map(r => Answer(r.item, r.worker, r.labels.toArray)).toSeq
-          (u, CpaCore.kappaRow(answers, bPhi.value, bD.value))
-        }
-        .collect()
-      val out = kappa.map(_.clone())
-      rows.foreach { case (u, row) => out(u) = row }
-      bPhi.destroy(); bD.destroy()
-      out
+      val U = kappa.length
+      val M = d.elnPi.length
+      val partials = withBroadcast(KappaInput(phi, d.dlam)) { b =>
+        answers.mapPartitions { it =>
+          val in = b.value
+          val rows = new Array[Array[Double]](U)
+          it.foreach { a =>
+            if (rows(a.worker) == null) rows(a.worker) = new Array[Double](M)
+            CpaCore.addKappaLogits(rows(a.worker), a.labels, in.phi(a.item), in.dlam)
+          }
+          rows.indices.iterator.filter(rows(_) != null).map(u => (u, rows(u)))
+        }.collect()
+      }
+      val logits = new Array[Array[Double]](U)
+      partials.foreach { case (u, p) =>
+        if (logits(u) == null) logits(u) = d.elnPi.clone()
+        CpaCore.addInto(logits(u), p)
+      }
+      Array.tabulate(U)(u => if (logits(u) == null) kappa(u).clone() else softmaxInPlace(logits(u)))
     }
 
     override def computeStats(T: Int, M: Int, C: Int, I: Int,
         kappa: Array[Array[Double]], phi: Array[Array[Double]],
         cand: Array[Array[Int]], yhat: Array[Array[Double]],
-        d: CpaCore.Derived, sensMc: Array[Double], fpMc: Array[Double]): CpaCore.SuffStats = {
-      val sc = spark.sparkContext
-      val bKappa = sc.broadcast(kappa)
-      val bPhi = sc.broadcast(phi)
-      val bCand = sc.broadcast(cand)
-      val bYhat = sc.broadcast(yhat)
-      val bD = sc.broadcast(d)
-      val bSens = sc.broadcast(sensMc)
-      val bFp = sc.broadcast(fpMc)
-      val result = ds.mapPartitions { it =>
-        val st = CpaCore.emptyStats(T, M, C, I)
-        it.foreach { r =>
-          val a = Answer(r.item, r.worker, r.labels.toArray)
-          CpaCore.accumulate(st, a, bKappa.value(a.worker), bPhi.value(a.item),
-            bD.value, bCand.value(a.item), bYhat.value(a.item), bSens.value, bFp.value)
-        }
-        Iterator.single(st)
-      }.reduce((a, b) => a.merge(b))
-      Seq(bKappa, bPhi, bCand, bYhat, bD, bSens, bFp).foreach(_.destroy())
-      result
-    }
+        d: CpaCore.Derived, sensMc: Array[Double], fpMc: Array[Double]): CpaCore.SuffStats =
+      withBroadcast(StatsInput(kappa, phi, cand, yhat, d.dlam, sensMc, fpMc)) { b =>
+        answers.mapPartitions { it =>
+          val in = b.value
+          val st = CpaCore.emptyStats(T, M, C, I)
+          it.foreach(a => CpaCore.accumulate(st, a, in.kappa(a.worker), in.phi(a.item), in.dlam,
+            in.cand(a.item), in.yhat(a.item), in.sensMc, in.fpMc))
+          Iterator.single(st)
+        }.reduce(_ merge _)
+      }
 
     override def bootstrapLambda(T: Int, M: Int, C: Int,
-        kappa: Array[Array[Double]], phi: Array[Array[Double]]): Array[Double] = {
-      val sc = spark.sparkContext
-      val bKappa = sc.broadcast(kappa)
-      val bPhi = sc.broadcast(phi)
-      val result = ds.mapPartitions { it =>
-        val stat = new Array[Double](T * M * C)
-        it.foreach(r => CpaCore.accumulateLambda(stat, r.labels.toArray, bPhi.value(r.item),
-          bKappa.value(r.worker), C))
-        Iterator.single(stat)
-      }(Encoders.kryo[Array[Double]]).reduce { (x, y) => CpaCore.addInto(x, y); x }
-      bKappa.destroy(); bPhi.destroy()
-      result
-    }
+        kappa: Array[Array[Double]], phi: Array[Array[Double]]): Array[Double] =
+      withBroadcast(LambdaInput(kappa, phi)) { b =>
+        answers.mapPartitions { it =>
+          val in = b.value
+          val stat = new Array[Double](T * M * C)
+          it.foreach(a => CpaCore.accumulateLambda(stat, a.labels, in.phi(a.item), in.kappa(a.worker), C))
+          Iterator.single(stat)
+        }.reduce { (x, y) => CpaCore.addInto(x, y); x }
+      }
   }
 
   /** Fit CPA on Spark: same VI loop as [[CpaVi]], distributed data passes.

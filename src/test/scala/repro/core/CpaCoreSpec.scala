@@ -135,7 +135,7 @@ class CpaCoreSpec extends AnyFunSuite {
     val sens = Array.fill(2 * C)(0.65)
     val fp = Array.fill(2 * C)(0.08)
     answers.foreach(a =>
-      accumulate(st, a, kappa(a.worker), phi(a.item), d, cand(a.item), yhat(a.item), sens, fp))
+      accumulate(st, a, kappa(a.worker), phi(a.item), d.dlam, cand(a.item), yhat(a.item), sens, fp))
     (0 until I).foreach { i =>
       val row = phiRow(i, st.aIt, cand(i), yhat(i), d)
       assert(math.abs(row.sum - 1.0) < 1e-9)
@@ -147,7 +147,7 @@ class CpaCoreSpec extends AnyFunSuite {
     val st = emptyStats(4, 2, C, I)
     val sens = Array.fill(2 * C)(0.65); val fp = Array.fill(2 * C)(0.08)
     answers.foreach(a =>
-      accumulate(st, a, kappa(a.worker), phi(a.item), d, cand(a.item), yhat(a.item), sens, fp))
+      accumulate(st, a, kappa(a.worker), phi(a.item), d.dlam, cand(a.item), yhat(a.item), sens, fp))
     assert(st.nAns(0) == 2.0 && st.nAns(1) == 2.0 && st.nAns(2) == 2.0)
   }
 
@@ -157,7 +157,7 @@ class CpaCoreSpec extends AnyFunSuite {
     val st = emptyStats(4, 2, C, I + 1)
     val sens = Array.fill(2 * C)(0.65); val fp = Array.fill(2 * C)(0.08)
     answers.foreach(a =>
-      accumulate(st, a, kappa(a.worker), phi(a.item), d, cand(a.item), yhat(a.item), sens, fp))
+      accumulate(st, a, kappa(a.worker), phi(a.item), d.dlam, cand(a.item), yhat(a.item), sens, fp))
     assert(st.llr.length == I + 1)
     (0 until I).foreach(i => assert(st.llr(i) != null && st.llr(i).length == cand(i).length, s"llr($i)"))
     assert(st.llr(I) == null)
@@ -168,7 +168,7 @@ class CpaCoreSpec extends AnyFunSuite {
     val st = emptyStats(4, 2, C, I)
     val sens = Array.fill(2 * C)(0.65); val fp = Array.fill(2 * C)(0.08)
     answers.foreach(a =>
-      accumulate(st, a, kappa(a.worker), phi(a.item), d, cand(a.item), yhat(a.item), sens, fp))
+      accumulate(st, a, kappa(a.worker), phi(a.item), d.dlam, cand(a.item), yhat(a.item), sens, fp))
     // item 0 (candidates 0, 1): label 1 voted by both workers, label 0 by one of two.
     assert(cand(0).sameElements(Array(0, 1)))
     assert(st.llr(0)(1) > st.llr(0)(0))
@@ -180,7 +180,7 @@ class CpaCoreSpec extends AnyFunSuite {
     def stats(as: Seq[Answer]) = {
       val st = emptyStats(4, 2, C, I)
       as.foreach(a =>
-        accumulate(st, a, kappa(a.worker), phi(a.item), d, cand(a.item), yhat(a.item), sens, fp))
+        accumulate(st, a, kappa(a.worker), phi(a.item), d.dlam, cand(a.item), yhat(a.item), sens, fp))
       st
     }
     val whole = stats(answers)
@@ -229,7 +229,7 @@ class CpaCoreSpec extends AnyFunSuite {
       def stats(xs: Seq[Answer]) = {
         val st = emptyStats(g.T, g.M, nLabels, nItems)
         xs.foreach(a =>
-          accumulate(st, a, kappa(a.worker), phi(a.item), d, cand(a.item), yhat(a.item), sens, fp))
+          accumulate(st, a, kappa(a.worker), phi(a.item), d.dlam, cand(a.item), yhat(a.item), sens, fp))
         st
       }
       val whole = stats(as)
@@ -264,7 +264,7 @@ class CpaCoreSpec extends AnyFunSuite {
     val st = emptyStats(4, 2, C, I)
     val sens0 = Array.fill(2 * C)(0.65); val fp0 = Array.fill(2 * C)(0.08)
     answers.foreach(a =>
-      accumulate(st, a, kappa(a.worker), phi(a.item), d, cand(a.item), yhat(a.item), sens0, fp0))
+      accumulate(st, a, kappa(a.worker), phi(a.item), d.dlam, cand(a.item), yhat(a.item), sens0, fp0))
     val (sens, fp) = communityCoins(st, meanAnswerSize = 1.5)
     sens.foreach(v => assert(v >= 0.05 && v <= 0.97))
     fp.foreach(v => assert(v >= 0.01 && v <= 0.60))
@@ -275,7 +275,7 @@ class CpaCoreSpec extends AnyFunSuite {
     val st = emptyStats(4, 2, C, I)
     val sens = Array.fill(2 * C)(0.65); val fp = Array.fill(2 * C)(0.08)
     answers.foreach(a =>
-      accumulate(st, a, kappa(a.worker), phi(a.item), d, cand(a.item), yhat(a.item), sens, fp))
+      accumulate(st, a, kappa(a.worker), phi(a.item), d.dlam, cand(a.item), yhat(a.item), sens, fp))
     val s = inclusionScores(0, cand(0), cand(0), phi(0), d, st)
     s.foreach(v => assert(v >= 0 && v <= 1))
     // label 1 (2/2 votes) must beat label 0 (1/2 votes) on item 0
@@ -287,7 +287,7 @@ class CpaCoreSpec extends AnyFunSuite {
     val st = emptyStats(4, 2, C, I)
     val sens = Array.fill(2 * C)(0.65); val fp = Array.fill(2 * C)(0.08)
     answers.foreach(a =>
-      accumulate(st, a, kappa(a.worker), phi(a.item), d, cand(a.item), yhat(a.item), sens, fp))
+      accumulate(st, a, kappa(a.worker), phi(a.item), d.dlam, cand(a.item), yhat(a.item), sens, fp))
     // item 0: candidates {0, 1}; label 3 was voted by nobody.
     val s = inclusionScores(0, Array(1, 3), cand(0), phi(0), d, st)
     def prior(c: Int) = {

@@ -134,6 +134,16 @@ class CpaViSpec extends AnyFunSuite {
     }
     CpaVi.fit(good, 2, 2, 3, CpaConfig(maxIter = 1))
   }
+  test("rejects answers whose item or worker id is out of range, naming the answer") {
+    val good = Vector(Answer(0, 0, Array(0, 2)), Answer(1, 1, Array(1)))
+    for (bad <- Seq(Answer(2, 0, Array(0)), Answer(-1, 0, Array(0)), Answer(0, 2, Array(1)),
+        Answer(0, -1, Array(1)))) {
+      val e = intercept[IllegalArgumentException] {
+        CpaVi.fit(good :+ bad, 2, 2, 3, CpaConfig(maxIter = 1))
+      }
+      assert(e.getMessage.contains(bad.toString), e.getMessage)
+    }
+  }
   test("model exposes argmax accessors within range") {
     (0 until ds.nWorkers).foreach(u =>
       assert(model.communityOf(u) >= 0 && model.communityOf(u) < model.globals.M))

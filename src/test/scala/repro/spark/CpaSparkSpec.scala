@@ -1,7 +1,11 @@
 package repro.spark
 
+import java.util.concurrent.atomic.AtomicLong
+
+import org.apache.spark.repro.ListenerBusAccess
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted, SparkListenerTaskEnd}
 import repro.SparkSpec
-import repro.core.{CpaConfig, CpaCore, CpaVi, LocalEngine}
+import repro.core.{CpaConfig, CpaCore, CpaModel, CpaVi, LocalEngine}
 import repro.crowd.{Answer, Datasets, Metrics}
 
 class CpaSparkSpec extends SparkSpec {
@@ -9,6 +13,66 @@ class CpaSparkSpec extends SparkSpec {
   private lazy val cfg = CpaConfig(maxIter = 8)
   private lazy val local = CpaVi.fit(ds.answers, ds.nItems, ds.nWorkers, ds.nLabels, cfg)
   private lazy val dist = CpaSpark.fit(spark, ds.answers, ds.nItems, ds.nWorkers, ds.nLabels, cfg)
+  private lazy val localEngine = new LocalEngine(ds.answers)
+
+  /** Run `body` with a Spark engine over the cached answers of `ds`. */
+  private def withSparkEngine[A](body: CpaSpark.SparkEngine => A): A = {
+    val data = AnswerData.toDs(spark, ds.answers).cache()
+    try body(new CpaSpark.SparkEngine(spark, data, ds.answers.size.toLong, localEngine.meanAnswerSize))
+    finally data.unpersist()
+  }
+
+  /** The inputs of the second VI iteration's passes on `ds`: globals
+    * bootstrapped as `CpaVi.fitEngine` does, community coins from one
+    * statistics pass.
+    */
+  private lazy val passInputs = {
+    val g = CpaCore.initGlobals(cfg, ds.nItems, ds.nWorkers, ds.nLabels)
+    val phi = CpaCore.initPhi(ds.answers, ds.nItems, g.T, cfg.seed)
+    val kappa = CpaCore.initKappa(ds.nWorkers, g.M, cfg.seed)
+    val cand = localEngine.candidates(ds.nItems)
+    val yhat = CpaCore.initYhat(ds.answers, ds.nItems, cand)
+    CpaCore.updateGlobals(g, cfg, 1.0, localEngine.bootstrapLambda(g.T, g.M, g.C, kappa, phi), 1.0,
+      Array.range(0, ds.nWorkers), kappa, 1.0, Array.range(0, ds.nItems), phi, cand(_), yhat(_), 1.0)
+    val d = CpaCore.derive(g, CpaCore.colSums(phi), phi, yhat.map(_.sum), localEngine.meanAnswerSize)
+    val first = localEngine.computeStats(g.T, g.M, g.C, ds.nItems, kappa, phi, cand, yhat, d,
+      Array.fill(g.M * g.C)(0.65), Array.fill(g.M * g.C)(0.08))
+    val (sens, fp) = CpaCore.communityCoins(first, localEngine.meanAnswerSize)
+    PassInputs(g, phi, kappa, cand, yhat, d, sens, fp)
+  }
+
+  private def assertClose(a: Array[Double], b: Array[Double], what: String, tol: Double = 1e-9): Unit = {
+    assert(a.length == b.length, s"$what: length ${a.length} vs ${b.length}")
+    a.indices.foreach(k => assert(math.abs(a(k) - b(k)) < tol, s"$what($k): ${a(k)} vs ${b(k)}"))
+  }
+
+  /** Spark and local fits of the same answers: same iterations and predictions. */
+  private def assertSparkFitsLikeLocal(answers: Seq[Answer], nItems: Int, nWorkers: Int,
+      nLabels: Int): (CpaModel, CpaModel) = {
+    val onDriver = CpaVi.fit(answers, nItems, nWorkers, nLabels, cfg)
+    val onSpark = CpaSpark.fit(spark, answers, nItems, nWorkers, nLabels, cfg)
+    assert(onSpark.iterations == onDriver.iterations)
+    (0 until nItems).foreach { i =>
+      assert(onSpark.predictItem(i).sameElements(onDriver.predictItem(i)), s"item $i")
+    }
+    (onDriver, onSpark)
+  }
+
+  /** Each worker answers each item with probability 0.6, with a random
+    * non-empty label set; `silent` workers never answer.
+    */
+  private def tinyAnswers(nItems: Int, nWorkers: Int, nLabels: Int,
+      silent: Set[Int] = Set.empty): Seq[Answer] = {
+    val rng = new scala.util.Random(17)
+    for {
+      i <- 0 until nItems
+      u <- 0 until nWorkers
+      if !silent(u) && rng.nextDouble() < 0.6
+    } yield {
+      val ls = (0 until nLabels).filter(_ => rng.nextDouble() < 0.4)
+      Answer(i, u, (if (ls.isEmpty) Seq(rng.nextInt(nLabels)) else ls).toArray)
+    }
+  }
 
   test("Spark engine converges in the same number of iterations as local") {
     assert(dist.iterations == local.iterations)
@@ -52,14 +116,103 @@ class CpaSparkSpec extends SparkSpec {
     val g = CpaCore.initGlobals(cfg, ds.nItems, ds.nWorkers, ds.nLabels)
     val phi = CpaCore.initPhi(ds.answers, ds.nItems, g.T, cfg.seed)
     val kappa = CpaCore.initKappa(ds.nWorkers, g.M, cfg.seed)
-    val onDriver = new LocalEngine(ds.answers).bootstrapLambda(g.T, g.M, g.C, kappa, phi)
-    val data = AnswerData.toDs(spark, ds.answers).cache()
-    try {
-      val onSpark = new CpaSpark.SparkEngine(spark, data, ds.answers.size.toLong, 1.0)
-        .bootstrapLambda(g.T, g.M, g.C, kappa, phi)
-      assert(onSpark.length == onDriver.length)
-      onDriver.indices.foreach(k => assert(math.abs(onDriver(k) - onSpark(k)) < 1e-9, s"lambda stat $k"))
-    } finally data.unpersist()
+    val onDriver = localEngine.bootstrapLambda(g.T, g.M, g.C, kappa, phi)
+    val onSpark = withSparkEngine(_.bootstrapLambda(g.T, g.M, g.C, kappa, phi))
+    assertClose(onDriver, onSpark, "lambda stat")
+  }
+
+  test("SparkEngine.computeKappa equals LocalEngine.computeKappa, workers split across partitions") {
+    val in = passInputs
+    val onDriver = localEngine.computeKappa(in.kappa, in.phi, in.d)
+    val onSpark = withSparkEngine { engine =>
+      // The driver-side sum of partial logits is exercised only when some
+      // worker's answers land in more than one partition.
+      val partitionsPerWorker = engine.answers
+        .mapPartitionsWithIndex((p, it) => it.map(a => (a.worker, p)))
+        .distinct().collect().groupBy(_._1).values.map(_.length)
+      assert(partitionsPerWorker.max >= 2, "no worker's answers span two partitions")
+      engine.computeKappa(in.kappa, in.phi, in.d)
+    }
+    assert(onSpark.length == onDriver.length)
+    onDriver.indices.foreach(u => assertClose(onDriver(u), onSpark(u), s"kappa($u)"))
+  }
+
+  test("SparkEngine.computeStats equals LocalEngine.computeStats") {
+    val in = passInputs
+    val (t, m, c, nItems) = (in.g.T, in.g.M, in.g.C, ds.nItems)
+    val onDriver = localEngine.computeStats(t, m, c, nItems, in.kappa, in.phi, in.cand, in.yhat,
+      in.d, in.sens, in.fp)
+    val onSpark = withSparkEngine(_.computeStats(t, m, c, nItems, in.kappa, in.phi, in.cand,
+      in.yhat, in.d, in.sens, in.fp))
+    assertClose(onDriver.lamStat, onSpark.lamStat, "lamStat")
+    assertClose(onDriver.aIt, onSpark.aIt, "aIt")
+    assertClose(onDriver.nAns, onSpark.nAns, "nAns")
+    (0 until nItems).foreach { i =>
+      assert((onDriver.llr(i) == null) == (onSpark.llr(i) == null), s"llr($i) presence")
+      if (onDriver.llr(i) != null) assertClose(onDriver.llr(i), onSpark.llr(i), s"llr($i)")
+    }
+    assertClose(onDriver.tpMc, onSpark.tpMc, "tpMc")
+    assertClose(onDriver.fpMc, onSpark.fpMc, "fpMc")
+    assertClose(onDriver.posMassMc, onSpark.posMassMc, "posMassMc")
+    assertClose(onDriver.negAdjMc, onSpark.negAdjMc, "negAdjMc")
+    assertClose(onDriver.ansMassM, onSpark.ansMassM, "ansMassM")
+  }
+
+  test("computeKappa and computeStats each run one job of one stage and write no shuffle") {
+    val in = passInputs
+    val sc = spark.sparkContext
+    val shape = new PassShape
+    withSparkEngine { engine =>
+      engine.candidates(ds.nItems) // materialises the cached answers
+      sc.addSparkListener(shape)
+      try {
+        def measure(pass: => Any): (Long, Long, Long) = {
+          ListenerBusAccess.drain(sc)
+          shape.reset()
+          pass
+          ListenerBusAccess.drain(sc)
+          (shape.jobs.get, shape.stages.get, shape.shuffleWriteBytes.get)
+        }
+        val kappaShape = measure(engine.computeKappa(in.kappa, in.phi, in.d))
+        assert(kappaShape == ((1L, 1L, 0L)), "computeKappa (jobs, stages, shuffle bytes)")
+        val statsShape = measure(engine.computeStats(in.g.T, in.g.M, in.g.C, ds.nItems,
+          in.kappa, in.phi, in.cand, in.yhat, in.d, in.sens, in.fp))
+        assert(statsShape == ((1L, 1L, 0L)), "computeStats (jobs, stages, shuffle bytes)")
+      } finally sc.removeSparkListener(shape)
+    }
+  }
+
+  test("a Spark fit on zero answers equals the local fit") {
+    assertSparkFitsLikeLocal(Seq.empty, 4, 3, 5)
+  }
+
+  test("a worker with no answers keeps its initial κ row on Spark, as locally") {
+    val (onDriver, onSpark) = assertSparkFitsLikeLocal(tinyAnswers(12, 6, 5, silent = Set(2)), 12, 6, 5)
+    val initial = CpaCore.initKappa(6, onDriver.globals.M, cfg.seed)(2)
+    assert(onDriver.kappa(2).sameElements(initial))
+    assert(onSpark.kappa(2).sameElements(initial))
+  }
+
+  test("a Spark fit on a one-label vocabulary equals the local fit") {
+    val answers = tinyAnswers(10, 5, 1)
+    assert(answers.forall(_.labels.sameElements(Array(0))))
+    assertSparkFitsLikeLocal(answers, 10, 5, 1)
+  }
+
+  test("a Spark fit with more clusters than items equals the local fit") {
+    assert(cfg.T > 6)
+    assertSparkFitsLikeLocal(tinyAnswers(6, 8, 7), 6, 8, 7)
+  }
+
+  test("a Spark fit rejects out-of-range item and worker ids up front") {
+    val good = Vector(Answer(0, 0, Array(0, 2)), Answer(1, 1, Array(1)))
+    for (bad <- Seq(Answer(2, 0, Array(0)), Answer(-1, 0, Array(0)), Answer(0, 2, Array(1)),
+        Answer(0, -1, Array(1)))) {
+      val e = intercept[IllegalArgumentException] {
+        CpaSpark.fit(spark, good :+ bad, 2, 2, 3, CpaConfig(maxIter = 1))
+      }
+      assert(e.getMessage.contains(bad.toString), e.getMessage)
+    }
   }
 
   test("a Spark fit on shuffled, duplicated labels equals the local fit on normalised ones") {
@@ -105,4 +258,23 @@ class CpaSparkSpec extends SparkSpec {
     assert(math.abs(row.getDouble(0) - pr.precision) < 1e-9)
     assert(math.abs(row.getDouble(1) - pr.recall) < 1e-9)
   }
+}
+
+/** The state one engine pass reads. */
+private final case class PassInputs(g: CpaCore.Globals, phi: Array[Array[Double]],
+    kappa: Array[Array[Double]], cand: Array[Array[Int]], yhat: Array[Array[Double]],
+    d: CpaCore.Derived, sens: Array[Double], fp: Array[Double])
+
+/** Counts the jobs started, stages submitted and shuffle bytes written. */
+private final class PassShape extends SparkListener {
+  val jobs, stages, shuffleWriteBytes = new AtomicLong
+
+  def reset(): Unit = Seq(jobs, stages, shuffleWriteBytes).foreach(_.set(0))
+
+  override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+
+  override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit = stages.incrementAndGet()
+
+  override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+    if (e.taskMetrics != null) shuffleWriteBytes.addAndGet(e.taskMetrics.shuffleWriteMetrics.bytesWritten)
 }
