@@ -24,12 +24,10 @@ object Debug {
       val truth = ds.truth(i).toSet
       val labels = m.cand(i)
       val s = CpaCore.inclusionScores(i, labels, labels, m.phi(i), m.derived, m.lastStats)
-      val scale = math.min(1.0, CpaCore.EffectiveVoters / math.max(1.0, m.lastStats.nAns(i)))
+      val scale = CpaCore.evidenceScale(m.lastStats.nAns(i))
       for (j <- labels.indices) {
         val c = labels(j)
-        var p0 = 0.0
-        for (t <- 0 until m.globals.T)
-          p0 += m.phi(i)(t) * math.min(0.97, m.derived.nbar(t) * m.derived.phiHat(t)(c))
+        val p0 = CpaCore.clusterPrior(c, m.phi(i), m.derived)
         val llr = scale * m.lastStats.llr(i)(j)
         if (truth(c)) { tp0 += p0; tllr += llr; ts += s(j); tn += 1 }
         else { fp0 += p0; fllr += llr; fs += s(j); fn += 1 }

@@ -44,18 +44,15 @@ object CpaCore {
       lambda.map(_.map(_.clone())), zeta.map(_.clone()))
   }
 
-  /** Quantities derived from [[Globals]] once per iteration and broadcast to
-    * wherever the per-answer statistics are computed.
+  /** Quantities derived from [[Globals]] once per VI iteration or SVI batch
+    * and broadcast to wherever the per-answer statistics are computed. Holds
+    * only what the engine passes, the ϕ/ŷ updates and prediction read.
     *
     * @param elnPi  E[ln π_m] under the stick posterior (M)
     * @param elnTau E[ln τ_t] (T)
     * @param dlam   E[ln ψ_tmc] = ψ(λ_tmc) − ψ(Σ_c λ_tmc)   (T×M×C)
     * @param elphi  E[ln φ_tc]                                 (T×C)
-    * @param psiHat posterior-mean confusion ψ̂_tmc             (T×M×C)
     * @param phiHat posterior-mean cluster label dist φ̂_tc     (T×C)
-    * @param relW   community reliability r_m ∈ [0,1]: cosine alignment of the
-    *               community's answer distribution with the cluster label
-    *               distributions, cluster-mass weighted and max-normalised
     * @param nbar   expected true-label-set size per cluster (T)
     */
   final class Derived(
@@ -63,9 +60,7 @@ object CpaCore {
       val elnTau: Array[Double],
       val dlam: Array[Array[Array[Double]]],
       val elphi: Array[Array[Double]],
-      val psiHat: Array[Array[Array[Double]]],
       val phiHat: Array[Array[Double]],
-      val relW: Array[Double],
       val nbar: Array[Double]) extends Serializable
 
   /** Per-iteration sufficient statistics accumulated over answers (the
@@ -267,12 +262,17 @@ object CpaCore {
     sets.map(_.toArray)
   }
 
-  /** Initial soft truth estimate: per-label vote fractions, sharpened around
-    * the majority threshold (σ(8·(share − 0.5))). The sharpening matters: the
-    * ŷ ↔ community-coin fixed point is bistable, and a raw-fraction start
-    * leaves systematically-wrong sub-majority labels (plausible confusions)
-    * in the "true" basin where they count as true positives forever.
+  /** Starting soft truth of a label with `votes` of an item's `nAns` answers:
+    * its vote share, sharpened around the majority threshold
+    * (σ(8·(share − 0.5))). The sharpening matters: the ŷ ↔ community-coin
+    * fixed point is bistable, and a raw-fraction start leaves
+    * systematically-wrong sub-majority labels (plausible confusions) in the
+    * "true" basin where they count as true positives forever.
     */
+  def sharpenedShare(votes: Double, nAns: Double): Double =
+    1.0 / (1.0 + math.exp(-8.0 * (votes / nAns - 0.5)))
+
+  /** Initial soft truth estimate: [[sharpenedShare]] of every candidate. */
   def initYhat(answers: Seq[Answer], nItems: Int, cand: Array[Array[Int]]): Array[Array[Double]] = {
     val votes = Array.fill(nItems)(mutable.Map.empty[Int, Int])
     val nAns = new Array[Int](nItems)
@@ -281,13 +281,7 @@ object CpaCore {
       a.labels.foreach(c => votes(a.item).update(c, votes(a.item).getOrElse(c, 0) + 1))
     }
     Array.tabulate(nItems) { i =>
-      cand(i).map { c =>
-        if (nAns(i) == 0) 0.0
-        else {
-          val share = votes(i).getOrElse(c, 0).toDouble / nAns(i)
-          1.0 / (1.0 + math.exp(-8.0 * (share - 0.5)))
-        }
-      }
+      cand(i).map(c => if (nAns(i) == 0) 0.0 else sharpenedShare(votes(i).getOrElse(c, 0).toDouble, nAns(i)))
     }
   }
 
@@ -332,81 +326,66 @@ object CpaCore {
 
   /** Build all derived quantities from the globals.
     *
-    * @param clusterMass Σ_i ϕ_it per cluster (T) — weights for reliability
-    * @param yhatSizes   current Σ_c ŷ_ic per item (I) and matching ϕ — used
-    *                    to estimate n̄_t; pass (null, null) to fall back to
-    *                    the ζ-implied sizes
+    * @param phi            current ϕ (I×T) and `yhatSize` the matching
+    *                       Σ_c ŷ_ic per item (I): n̄_t is their ϕ-weighted mean
+    * @param meanAnswerSize observed mean answer size, which bounds n̄
     */
-  def derive(g: Globals, clusterMass: Array[Double],
-      phi: Array[Array[Double]], yhatSize: Array[Double],
-      meanAnswerSize: Double = Double.NaN): Derived = {
-    val T = g.T; val M = g.M; val C = g.C
+  def derive(g: Globals, phi: Array[Array[Double]], yhatSize: Array[Double],
+      meanAnswerSize: Double): Derived = {
+    val T = g.T; val M = g.M
     val elnPi = sticksElog(g.rho1, g.rho2)
     val elnTau = sticksElog(g.ups1, g.ups2)
     val dlam = Array.tabulate(T, M)((t, m) => dirElog(g.lambda(t)(m)))
     val elphi = Array.tabulate(T)(t => dirElog(g.zeta(t)))
-    val psiHat = Array.tabulate(T, M)((t, m) => dirMean(g.lambda(t)(m)))
     val phiHat = Array.tabulate(T)(t => dirMean(g.zeta(t)))
 
-    // Community reliability: mass-weighted cosine between ψ̂_tm and φ̂_t.
-    val rel = new Array[Double](M)
-    val totalMass = math.max(1e-12, clusterMass.sum)
-    var m = 0
-    while (m < M) {
-      var s = 0.0
-      var t = 0
-      while (t < T) {
-        val psi = psiHat(t)(m); val ph = phiHat(t)
-        val num = dot(psi, ph)
-        val den = math.sqrt(dot(psi, psi) * dot(ph, ph))
-        if (den > 0) s += clusterMass(t) / totalMass * (num / den)
-        t += 1
-      }
-      rel(m) = s
-      m += 1
-    }
-    val mx = rel.max
-    val relW = rel.map(r => if (mx <= 0) 1.0 else math.max(0.0, r / mx))
-
     // Expected label-set size per cluster: ϕ-mass-weighted mean of Σ_c ŷ_ic.
-    val nbar = new Array[Double](T)
-    if (phi != null && yhatSize != null) {
-      val num = new Array[Double](T)
-      val den = new Array[Double](T)
-      var i = 0
-      while (i < phi.length) {
-        var t = 0
-        while (t < T) { num(t) += phi(i)(t) * yhatSize(i); den(t) += phi(i)(t); t += 1 }
-        i += 1
-      }
+    // Anchor it to the observed mean answer size: worker answers are noisy
+    // size estimates of the truth; without this anchor the ŷ → ζ → n̄ → ŷ
+    // loop can inflate without bound.
+    val num = new Array[Double](T)
+    val den = new Array[Double](T)
+    var i = 0
+    while (i < phi.length) {
       var t = 0
-      while (t < T) { nbar(t) = if (den(t) > 1e-9) num(t) / den(t) else 1.0; t += 1 }
-    } else java.util.Arrays.fill(nbar, 1.0)
-    // Anchor the expected set size to the observed mean answer size: worker
-    // answers are noisy size estimates of the truth; without this anchor the
-    // ŷ → ζ → n̄ → ŷ loop can inflate without bound.
-    if (!meanAnswerSize.isNaN) {
-      val cap = math.max(1.0, 1.3 * meanAnswerSize)
-      val floor = math.max(0.5, 0.7 * meanAnswerSize)
-      var t = 0
-      while (t < T) { nbar(t) = math.min(cap, math.max(floor, nbar(t))); t += 1 }
+      while (t < T) { num(t) += phi(i)(t) * yhatSize(i); den(t) += phi(i)(t); t += 1 }
+      i += 1
+    }
+    val cap = math.max(1.0, 1.3 * meanAnswerSize)
+    val floor = math.max(0.5, 0.7 * meanAnswerSize)
+    val nbar = Array.tabulate(T) { t =>
+      math.min(cap, math.max(floor, if (den(t) > 1e-9) num(t) / den(t) else 1.0))
     }
 
-    new Derived(elnPi, elnTau, dlam, elphi, psiHat, phiHat, relW, nbar)
+    new Derived(elnPi, elnTau, dlam, elphi, phiHat, nbar)
   }
 
   // ---------------------------------------------------------------------
   // Local updates (Eq 2, Eq 3 + answer term)
   // ---------------------------------------------------------------------
 
-  /** Eq 2: κ_u ∝ exp(E[ln π_m] + Σ_i Σ_t ϕ_it E[ln p(x_iu | ψ_tm)]) over the
-    * worker's answers (terms constant in m dropped).
+  /** Eq 2 logits of every worker over `answers`: worker u's row is `start`
+    * (evaluated once per worker) plus [[addKappaLogits]] of u's answers, in
+    * answer order; workers without answers get null. With `start` = E[ln π]
+    * the rows are the full logits; with a zero start they are partial sums
+    * that add up over any split of the answers.
     */
-  def kappaRow(workerAnswers: Seq[Answer], phi: Array[Array[Double]], d: Derived): Array[Double] = {
-    val logits = d.elnPi.clone()
-    workerAnswers.foreach(a => addKappaLogits(logits, a.labels, phi(a.item), d.dlam))
-    softmaxInPlace(logits)
+  def kappaLogits(answers: Iterator[Answer], nWorkers: Int, phi: Array[Array[Double]],
+      dlam: Array[Array[Array[Double]]])(start: => Array[Double]): Array[Array[Double]] = {
+    val logits = new Array[Array[Double]](nWorkers)
+    answers.foreach { a =>
+      if (logits(a.worker) == null) logits(a.worker) = start
+      addKappaLogits(logits(a.worker), a.labels, phi(a.item), dlam)
+    }
+    logits
   }
+
+  /** Eq 2: κ_u ∝ exp(logits_u) (terms constant in m dropped), in place on
+    * the non-null logit rows; a worker with null logits keeps a copy of their
+    * `kappa` row.
+    */
+  def kappaFromLogits(kappa: Array[Array[Double]], logits: Array[Array[Double]]): Array[Array[Double]] =
+    Array.tabulate(kappa.length)(u => if (logits(u) == null) kappa(u).clone() else softmaxInPlace(logits(u)))
 
   /** Add one answer's Eq 2 term Σ_t ϕ_it Σ_{c ∈ labels} E[ln ψ_tmc] to the
     * worker's logits (M). The terms are additive over answers, so partial
@@ -604,29 +583,40 @@ object CpaCore {
     softmaxInPlace(logits)
   }
 
+  /** Cluster-mixture prior of label c on an item with responsibilities
+    * `phiRow`: p0_c = Σ_t ϕ_it min(0.97, n̄_t φ̂_tc), clamped to [0.01, 0.95].
+    */
+  def clusterPrior(c: Int, phiRow: Array[Double], d: Derived): Double = {
+    var p0 = 0.0
+    var t = 0
+    while (t < phiRow.length) {
+      p0 += phiRow(t) * math.min(0.97, d.nbar(t) * d.phiHat(t)(c))
+      t += 1
+    }
+    math.min(0.95, math.max(0.01, p0))
+  }
+
+  /** Scale of an item's vote evidence given its `nAns` answers:
+    * min(1, EffectiveVoters / n_i).
+    */
+  def evidenceScale(nAns: Double): Double = math.min(1.0, EffectiveVoters / math.max(1.0, nAns))
+
   /** Per-label inclusion posterior for the latent truth (DESIGN.md §2 note 2):
-    * cluster-mixture prior p0_c = Σ_t ϕ_it min(0.97, n̄_t φ̂_tc), combined with
-    * the vote log-likelihood ratio. Returns values for the given sorted label
+    * the [[clusterPrior]] p0_c combined with the vote log-likelihood ratio
+    * scaled by [[evidenceScale]]. Returns values for the given sorted label
     * set; `cand` is the item's sorted candidate set that `st.llr(item)` is
     * aligned with. Labels outside it have no vote evidence (llr 0).
     */
   def inclusionScores(item: Int, labels: Array[Int], cand: Array[Int], phiRow: Array[Double],
       d: Derived, st: SuffStats): Array[Double] = {
-    val T = phiRow.length
     val row = st.llr(item)
-    val scale = math.min(1.0, EffectiveVoters / math.max(1.0, st.nAns(item)))
+    val scale = evidenceScale(st.nAns(item))
     val out = new Array[Double](labels.length)
     var k = 0 // two-pointer walk: both labels and cand are sorted
     var j = 0
     while (j < labels.length) {
       val c = labels(j)
-      var p0 = 0.0
-      var t = 0
-      while (t < T) {
-        p0 += phiRow(t) * math.min(0.97, d.nbar(t) * d.phiHat(t)(c))
-        t += 1
-      }
-      p0 = math.min(0.95, math.max(0.01, p0))
+      val p0 = clusterPrior(c, phiRow, d)
       var vote = 0.0
       if (row != null) {
         while (k < cand.length && cand(k) < c) k += 1
@@ -640,17 +630,27 @@ object CpaCore {
     out
   }
 
-  /** Column sums of a row-major matrix (Σ_i m(i)(·)). */
-  def colSums(m: Array[Array[Double]]): Array[Double] = {
-    if (m.isEmpty) return Array.emptyDoubleArray
-    val out = new Array[Double](m(0).length)
-    var i = 0
-    while (i < m.length) {
+  /** Latent-truth step on `items`: the damped update
+    * ŷ_i ← ½·ŷ_i + ½·[[inclusionScores]] over each item's candidates, in
+    * place (the damping stabilises the truth-estimation fixed point).
+    * Returns Σ |Δŷ| over all updated slots.
+    */
+  def truthStep(items: Array[Int], cand: Array[Array[Int]], yhat: Array[Array[Double]],
+      phi: Array[Array[Double]], d: Derived, st: SuffStats): Double = {
+    var delta = 0.0
+    var k = 0
+    while (k < items.length) {
+      val i = items(k)
+      val y = yhat(i)
+      val s = inclusionScores(i, cand(i), cand(i), phi(i), d, st)
       var j = 0
-      while (j < out.length) { out(j) += m(i)(j); j += 1 }
-      i += 1
+      while (j < s.length) {
+        val v = 0.5 * y(j) + 0.5 * s(j)
+        delta += math.abs(v - y(j)); y(j) = v; j += 1
+      }
+      k += 1
     }
-    out
+    delta
   }
 
   /** x ← (1−ω)·x + ω·target, in place. */

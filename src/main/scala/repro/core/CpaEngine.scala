@@ -46,10 +46,11 @@ trait CpaEngine {
       phi: Array[Array[Double]]): Array[Double]
 }
 
-/** Driver-local engine over an in-memory answer list. */
+/** Driver-local engine over an in-memory answer list: the whole answer set
+  * of a [[CpaVi]] fit, or one batch of a [[CpaSvi]] stream. Every pass folds
+  * the answers in list order through its [[CpaCore]] kernel.
+  */
 final class LocalEngine(answers: Seq[repro.crowd.Answer]) extends CpaEngine {
-  private lazy val byWorker = answers.groupBy(_.worker)
-
   override def nAnswers: Long = answers.size.toLong
 
   override val meanAnswerSize: Double =
@@ -60,11 +61,9 @@ final class LocalEngine(answers: Seq[repro.crowd.Answer]) extends CpaEngine {
     CpaCore.candidates(answers, nItems)
 
   override def computeKappa(kappa: Array[Array[Double]], phi: Array[Array[Double]],
-      d: CpaCore.Derived): Array[Array[Double]] = {
-    val out = kappa.map(_.clone())
-    byWorker.foreach { case (u, as) => out(u) = CpaCore.kappaRow(as, phi, d) }
-    out
-  }
+      d: CpaCore.Derived): Array[Array[Double]] =
+    CpaCore.kappaFromLogits(kappa,
+      CpaCore.kappaLogits(answers.iterator, kappa.length, phi, d.dlam)(d.elnPi.clone()))
 
   override def computeStats(T: Int, M: Int, C: Int, I: Int,
       kappa: Array[Array[Double]], phi: Array[Array[Double]],

@@ -9,6 +9,10 @@ import scala.reflect.ClassTag
   *
   * Answers arrive as batches; each batch triggers one natural-gradient step
   * on the global parameters with learning rate ω_b = (1+b)^{-r} (Eq 18-20).
+  * A batch runs the same step pieces as one [[CpaVi]] iteration on its own
+  * answers: [[CpaCore.derive]], the κ and statistics passes of a
+  * [[LocalEngine]] over the batch, [[CpaCore.phiRow]] and the truth step
+  * [[CpaCore.truthStep]] on the batch items, and [[CpaCore.updateGlobals]].
   * Per the paper, only the most recent parameter values are kept — the model
   * is never re-inferred from the full answer set, which is what makes the
   * accumulated runtime O(T1/B + T2) per batch instead of O(T1 + T2) per
@@ -36,10 +40,11 @@ final class CpaSvi(
   val M: Int = g.M
 
   // No answers have arrived yet: ϕ starts near-uniform.
-  private val (phi, kappa) = CpaCore.initLocals(cfg, g, nItems, nWorkers) {
+  private val (phi, kappa0) = CpaCore.initLocals(cfg, g, nItems, nWorkers) {
     val rng = new scala.util.Random(cfg.seed)
     Array.fill(nItems)(repro.util.MathFn.normalise(Array.fill(T)(1.0 + 0.05 * rng.nextDouble())))
   }
+  private var kappa = kappa0
 
   // Per-item candidate rows: cands(i) holds the labels voted for item i so
   // far, sorted and distinct; votes(i) (vote counts), yh(i) (soft truth ŷ)
@@ -88,9 +93,13 @@ final class CpaSvi(
     }
   }
 
-  /** Consume one batch of answers and perform a single SVI step. */
+  /** Consume one batch of answers and perform a single SVI step. A batch
+    * with an out-of-range id or an invalid label set is rejected before any
+    * state changes.
+    */
   def processBatch(batch: Seq[Answer]): Unit = {
     if (batch.isEmpty) return
+    CpaCore.requireValidIds(batch, nItems, nWorkers)
     CpaCore.requireValidLabels(batch, nLabels)
     batchIndex += 1
     val omega = math.pow(1.0 + batchIndex, -cfg.forgetRate)
@@ -113,39 +122,17 @@ final class CpaSvi(
       val y = yh(i)
       var j = 0
       while (j < y.length) {
-        if (y(j).isNaN) {
-          val share = votes(i)(j).toDouble / math.max(1.0, truth.nAns(i))
-          y(j) = 1.0 / (1.0 + math.exp(-8.0 * (share - 0.5)))
-        }
+        if (y(j).isNaN) y(j) = CpaCore.sharpenedShare(votes(i)(j), truth.nAns(i))
         j += 1
       }
       ySize(i) = y.sum
     }
 
-    // --- Derived expectations from the current globals. ---
-    val clusterMass = new Array[Double](T)
-    var i = 0
-    while (i < nItems) {
-      if (truth.nAns(i) > 0) {
-        var t = 0
-        while (t < T) { clusterMass(t) += phi(i)(t); t += 1 }
-      }
-      i += 1
-    }
-    val d = CpaCore.derive(g, clusterMass, phi, ySize, meanAnswerSize)
-
-    // --- Local update: κ for the batch workers (Eq 2 on batch data). ---
-    val byWorker = batch.groupBy(_.worker)
-    if (!cfg.noZ) batchWorkers.foreach { u =>
-      kappa(u) = CpaCore.kappaRow(byWorker(u), phi, d)
-    }
-
-    // --- Batch sufficient statistics. ---
-    val st = CpaCore.emptyStats(T, M, nLabels, nItems)
-    batch.foreach { a =>
-      CpaCore.accumulate(st, a, kappa(a.worker), phi(a.item), d.dlam,
-        cands(a.item), yh(a.item), sensMc, fpMc)
-    }
+    // --- Derived expectations, κ (Eq 2) and statistics on batch data. ---
+    val d = CpaCore.derive(g, phi, ySize, meanAnswerSize)
+    val engine = new LocalEngine(batch)
+    if (!cfg.noZ) kappa = engine.computeKappa(kappa, phi, d)
+    val st = engine.computeStats(T, M, nLabels, nItems, kappa, phi, cands, yh, d, sensMc, fpMc)
 
     // --- Natural-gradient global updates (Eq 18-19), corpus size estimated
     // by the answers, items and workers seen so far. ---
@@ -160,14 +147,8 @@ final class CpaSvi(
     if (!cfg.noL) batchItems.foreach { it =>
       CpaCore.blend(phi(it), CpaCore.phiRow(it, st.aIt, cands(it), yh(it), d), omega)
     }
-    batchItems.foreach { it =>
-      val cd = cands(it)
-      val y = yh(it)
-      val s = CpaCore.inclusionScores(it, cd, cd, phi(it), d, truth)
-      var j = 0
-      while (j < cd.length) { y(j) = 0.5 * y(j) + 0.5 * s(j); j += 1 }
-      ySize(it) = y.sum
-    }
+    CpaCore.truthStep(batchItems, cands, yh, phi, d, truth)
+    batchItems.foreach(it => ySize(it) = yh(it).sum)
 
     // --- Community coin re-estimation (blended). ---
     val (sens, fp) = CpaCore.communityCoins(st, meanAnswerSize)
@@ -180,7 +161,7 @@ final class CpaSvi(
     * leave the snapshot as is.
     */
   def toModel: CpaModel = {
-    val d = CpaCore.derive(g, CpaCore.colSums(phi), phi, ySize, meanAnswerSize)
+    val d = CpaCore.derive(g, phi, ySize, meanAnswerSize)
     new CpaModel(cfg, nItems, nWorkers, nLabels, g, kappa, phi,
       cands.map(_.clone()), yh.map(_.clone()), d,
       CpaCore.emptyStats(1, 1, 1, nItems).merge(truth), sensMc, fpMc, batchIndex)

@@ -136,15 +136,14 @@ object CpaVi {
     updateGlobals(engine.bootstrapLambda(T, M, nLabels, kappa, phi))
 
     val nCandTotal = cand.iterator.map(_.length).sum
+    val freeItems = allItems.filterNot(knownY.contains)
     var d: CpaCore.Derived = null
     var st: CpaCore.SuffStats = null
     var iter = 0
     var converged = false
     while (iter < cfg.maxIter && !converged) {
       // --- Derived expectations from current globals. ---
-      val clusterMass = CpaCore.colSums(phi)
-      val ySize = Array.tabulate(nItems)(i => yhat(i).sum)
-      d = CpaCore.derive(g, clusterMass, phi, ySize, meanAnswerSize)
+      d = CpaCore.derive(g, phi, yhat.map(_.sum), meanAnswerSize)
 
       // --- MAP phase 1: worker communities (Eq 2). ---
       if (!cfg.noZ) kappa = engine.computeKappa(kappa, phi, d)
@@ -173,21 +172,7 @@ object CpaVi {
       }
 
       // --- Latent truth re-estimation (skipping observed items). ---
-      var yDelta = 0.0
-      var i = 0
-      while (i < nItems) {
-        if (!knownY.contains(i)) {
-          val s = CpaCore.inclusionScores(i, cand(i), cand(i), phi(i), d, st)
-          var j = 0
-          while (j < s.length) {
-            // Damped update stabilises the truth-estimation fixed point.
-            val v = 0.5 * yhat(i)(j) + 0.5 * s(j)
-            yDelta += math.abs(v - yhat(i)(j)); yhat(i)(j) = v; j += 1
-          }
-        }
-        i += 1
-      }
-      val yDeltaMean = yDelta / math.max(1, nCandTotal)
+      val yDeltaMean = CpaCore.truthStep(freeItems, cand, yhat, phi, d, st) / math.max(1, nCandTotal)
       if (cfg.noL) delta = yDeltaMean
 
       // --- Global updates (Eq 4-7). ---
@@ -199,9 +184,7 @@ object CpaVi {
     }
 
     // Final derived state for prediction (reflecting the last global update).
-    val clusterMass = CpaCore.colSums(phi)
-    val ySize = Array.tabulate(nItems)(i => yhat(i).sum)
-    d = CpaCore.derive(g, clusterMass, phi, ySize, meanAnswerSize)
+    d = CpaCore.derive(g, phi, yhat.map(_.sum), meanAnswerSize)
 
     new CpaModel(cfg, nItems, nWorkers, nLabels, g, kappa, phi, cand, yhat, d, st,
       sensMc, fpMc, iter)

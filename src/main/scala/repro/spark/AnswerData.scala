@@ -19,11 +19,13 @@ object AnswerData {
   def normalise(a: Answer): Answer =
     if (CpaCore.strictlyIncreasing(a.labels)) a else a.copy(labels = a.labels.distinct.sorted)
 
+  private val Partitions = 8
+
   /** Answers as a typed Dataset; labels are stored sorted and distinct. */
-  def toDs(spark: SparkSession, answers: Seq[Answer], partitions: Int = 8): Dataset[AnswerRow] = {
+  def toDs(spark: SparkSession, answers: Seq[Answer]): Dataset[AnswerRow] = {
     import spark.implicits._
     spark.createDataset(answers.map(a => AnswerRow(a.item, a.worker, normalise(a).labels.toSeq)))
-      .repartition(partitions)
+      .repartition(Partitions)
   }
 
   /** Answers as an untyped DataFrame (item, worker, labels). */

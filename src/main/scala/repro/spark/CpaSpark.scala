@@ -5,7 +5,6 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core._
 import repro.crowd.Answer
-import repro.util.MathFn.softmaxInPlace
 
 import scala.reflect.ClassTag
 
@@ -19,7 +18,8 @@ import scala.reflect.ClassTag
   * value per partition on the driver. Per iteration:
   *  1. MAP phase 1 (Eq 2): each partition emits, for every worker it holds,
   *     the partial κ logits of that worker's answers there
-  *     ([[CpaCore.addKappaLogits]]). The logits are additive over answers, so
+  *     ([[CpaCore.kappaLogits]] from a zero start, the fold [[LocalEngine]]
+  *     runs from E[ln π]). The logits are additive over answers, so
   *     the driver's sum of the partials plus E[ln π], through a softmax, is
   *     κ_u for any partitioning, with no `groupByKey` shuffle.
   *  2. MAP phase 2 + REDUCE: each partition accumulates its answers'
@@ -82,11 +82,7 @@ object CpaSpark {
       val partials = withBroadcast(KappaInput(phi, d.dlam)) { b =>
         answers.mapPartitions { it =>
           val in = b.value
-          val rows = new Array[Array[Double]](U)
-          it.foreach { a =>
-            if (rows(a.worker) == null) rows(a.worker) = new Array[Double](M)
-            CpaCore.addKappaLogits(rows(a.worker), a.labels, in.phi(a.item), in.dlam)
-          }
+          val rows = CpaCore.kappaLogits(it, U, in.phi, in.dlam)(new Array[Double](M))
           rows.indices.iterator.filter(rows(_) != null).map(u => (u, rows(u)))
         }.collect()
       }
@@ -95,7 +91,7 @@ object CpaSpark {
         if (logits(u) == null) logits(u) = d.elnPi.clone()
         CpaCore.addInto(logits(u), p)
       }
-      Array.tabulate(U)(u => if (logits(u) == null) kappa(u).clone() else softmaxInPlace(logits(u)))
+      CpaCore.kappaFromLogits(kappa, logits)
     }
 
     override def computeStats(T: Int, M: Int, C: Int, I: Int,
@@ -130,9 +126,9 @@ object CpaSpark {
     */
   def fit(spark: SparkSession, answers: Seq[Answer],
       nItems: Int, nWorkers: Int, nLabels: Int,
-      cfg: CpaConfig = CpaConfig(), partitions: Int = 8): CpaModel = {
+      cfg: CpaConfig = CpaConfig()): CpaModel = {
     val clean = answers.map(AnswerData.normalise)
-    val ds = AnswerData.toDs(spark, clean, partitions).cache()
+    val ds = AnswerData.toDs(spark, clean).cache()
     try {
       val meanSize =
         if (clean.isEmpty) 1.0

@@ -46,11 +46,6 @@ class CpaCoreSpec extends AnyFunSuite {
     assert(math.abs(b(2) - 0.5) < 1e-12)
   }
 
-  test("colSums sums rows") {
-    assert(colSums(Array(Array(1.0, 2.0), Array(3.0, 4.0))).sameElements(Array(4.0, 6.0)))
-    assert(colSums(Array.empty[Array[Double]]).isEmpty)
-  }
-
   test("candidates collects voted labels per item, sorted") {
     val cand = candidates(answers, I)
     assert(cand(0).sameElements(Array(0, 1)))
@@ -105,28 +100,31 @@ class CpaCoreSpec extends AnyFunSuite {
     val kappa = initKappa(U, g.M, 1)
     val cand = candidates(answers, I)
     val yhat = initYhat(answers, I, cand)
-    val d = derive(g, colSums(phi), phi, yhat.map(_.sum), 1.5)
+    val d = derive(g, phi, yhat.map(_.sum), 1.5)
     (cfg, g, phi, kappa, cand, yhat, d)
   }
 
-  test("derive produces finite expectations and bounded reliability") {
+  test("derive produces finite expectations and cluster label distributions") {
     val (_, _, _, _, _, _, d) = freshState()
     d.elnPi.foreach(v => assert(!v.isNaN && v < 0))
     d.elnTau.foreach(v => assert(!v.isNaN && v < 0))
-    d.relW.foreach(v => assert(v >= 0 && v <= 1))
+    d.phiHat.foreach(row => assert(math.abs(row.sum - 1.0) < 1e-9 && row.forall(_ > 0)))
     d.nbar.foreach(v => assert(v > 0))
   }
   test("derive anchors nbar to the mean answer size") {
     val (_, g, phi, _, _, yhat, _) = freshState()
-    val d = derive(g, colSums(phi), phi, yhat.map(_.sum), meanAnswerSize = 2.0)
+    val d = derive(g, phi, yhat.map(_.sum), meanAnswerSize = 2.0)
     d.nbar.foreach(v => assert(v >= 0.5 && v <= 2.6 + 1e-9))
   }
 
-  test("kappaRow returns a distribution over communities") {
-    val (_, _, phi, _, _, _, d) = freshState()
-    val row = kappaRow(answers.filter(_.worker == 0), phi, d)
-    assert(math.abs(row.sum - 1.0) < 1e-9)
-    row.foreach(v => assert(v >= 0))
+  test("kappaFromLogits gives answering workers a distribution and keeps the others' rows") {
+    val (_, _, phi, kappa, _, _, d) = freshState()
+    // Worker 2 has no answers among worker 0's.
+    val rows = kappaFromLogits(kappa,
+      kappaLogits(answers.iterator.filter(_.worker == 0), U, phi, d.dlam)(d.elnPi.clone()))
+    assert(math.abs(rows(0).sum - 1.0) < 1e-9)
+    rows(0).foreach(v => assert(v >= 0))
+    assert(rows(2).sameElements(kappa(2)) && (rows(2) ne kappa(2)))
   }
 
   test("accumulate + phiRow yields normalised cluster responsibilities") {
@@ -224,7 +222,7 @@ class CpaCoreSpec extends AnyFunSuite {
       val kappa = initKappa(3, g.M, 1)
       val cand = candidates(as, nItems)
       val yhat = initYhat(as, nItems, cand)
-      val d = derive(g, colSums(phi), phi, yhat.map(_.sum), 1.5)
+      val d = derive(g, phi, yhat.map(_.sum), 1.5)
       val sens = Array.fill(g.M * nLabels)(0.65); val fp = Array.fill(g.M * nLabels)(0.08)
       def stats(xs: Seq[Answer]) = {
         val st = emptyStats(g.T, g.M, nLabels, nItems)
@@ -235,6 +233,20 @@ class CpaCoreSpec extends AnyFunSuite {
       val whole = stats(as)
       val (l, r) = as.zip(split).partition(_._2)
       val merged = stats(l.map(_._1)).merge(stats(r.map(_._1)))
+      // κ logits: partial folds of the halves from zero, summed onto E[ln π].
+      def logits(xs: Seq[Answer], start: => Array[Double]) =
+        kappaLogits(xs.iterator, 3, phi, d.dlam)(start)
+      val wholeLogits = logits(as, d.elnPi.clone())
+      val halves = Seq(l, r).map(h => logits(h.map(_._1), new Array[Double](g.M)))
+      val kappaSplits = (0 until 3).forall { u =>
+        val parts = halves.map(_(u)).filter(_ != null)
+        if (wholeLogits(u) == null) parts.isEmpty
+        else {
+          val summed = d.elnPi.clone()
+          parts.foreach(addInto(summed, _))
+          summed.indices.forall(m => math.abs(summed(m) - wholeLogits(u)(m)) < 1e-12)
+        }
+      }
       // Naive reference: each answer alone, summed per (item, label).
       val naive = scala.collection.mutable.Map.empty[(Int, Int), Double].withDefaultValue(0.0)
       as.foreach { a =>
@@ -252,7 +264,8 @@ class CpaCoreSpec extends AnyFunSuite {
       } && whole.lamStat.indices.forall(k => close(merged.lamStat(k), whole.lamStat(k))) &&
         whole.aIt.indices.forall(k => close(merged.aIt(k), whole.aIt(k))) &&
         whole.tpMc.indices.forall(k => close(merged.tpMc(k), whole.tpMc(k)) &&
-          close(merged.fpMc(k), whole.fpMc(k)) && close(merged.negAdjMc(k), whole.negAdjMc(k)))
+          close(merged.fpMc(k), whole.fpMc(k)) && close(merged.negAdjMc(k), whole.negAdjMc(k))) &&
+        kappaSplits
     }
     val res = Test.check(
       Test.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(42L), prop)
@@ -311,6 +324,8 @@ class CpaCoreSpec extends AnyFunSuite {
         if (j < 0) 0.0 else phi(i)(t) * yhat(i)(j)
       }.sum
     }
+
+  private def colSums(m: Array[Array[Double]]): Array[Double] = m.transpose.map(_.sum)
 
   private def assertClose(a: Array[Double], b: Array[Double], what: String): Unit = {
     assert(a.length == b.length, what)

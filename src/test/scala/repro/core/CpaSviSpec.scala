@@ -42,7 +42,6 @@ class CpaSviSpec extends AnyFunSuite {
   test("a model snapshot can be taken after every batch (online prediction)") {
     val svi = new CpaSvi(CpaConfig(), ds.nItems, ds.nWorkers, ds.nLabels)
     val batches = ds.answers.grouped(ds.answers.size / 4 + 1).toSeq
-    var lastF1 = -1.0
     val f1s = batches.map { b =>
       svi.processBatch(b)
       Metrics.evaluate(ds, svi.toModel.predict()).f1
@@ -71,9 +70,10 @@ class CpaSviSpec extends AnyFunSuite {
   }
   test("globals remain above their priors after streaming") {
     val cfg = CpaConfig()
-    online.globals.lambda.foreach(_.foreach(_.foreach(v => assert(v > 0))))
-    online.globals.zeta.foreach(_.foreach(v => assert(v > 0)))
+    online.globals.lambda.foreach(_.foreach(_.foreach(v => assert(v >= cfg.lambda0 - 1e-12))))
+    online.globals.zeta.foreach(_.foreach(v => assert(v >= cfg.zeta0 - 1e-12)))
     online.globals.rho1.foreach(v => assert(v >= 1.0 - 1e-9))
+    online.globals.rho2.foreach(v => assert(v >= cfg.alpha - 1e-12))
   }
 
   test("a label voted in a later batch is inserted before an earlier one, keeping its slots") {
@@ -109,6 +109,19 @@ class CpaSviSpec extends AnyFunSuite {
     for (bad <- Seq(Array(2, 0), Array(1, 1), Array(0, 3)))
       intercept[IllegalArgumentException](svi.processBatch(Seq(Answer(0, 0, bad))))
     assert(svi.batchesProcessed == 0)
+  }
+
+  test("processBatch rejects out-of-range item and worker ids before any state changes") {
+    val svi = new CpaSvi(CpaConfig(), 2, 2, 3)
+    svi.processBatch(Seq(Answer(0, 0, Array(1))))
+    for (bad <- Seq(Answer(2, 0, Array(0)), Answer(-1, 0, Array(0)), Answer(0, 2, Array(1)),
+        Answer(0, -1, Array(1)))) {
+      // The valid answer ahead of the bad one must not be counted either.
+      val e = intercept[IllegalArgumentException](svi.processBatch(Seq(Answer(0, 1, Array(1, 2)), bad)))
+      assert(e.getMessage.contains(bad.toString), e.getMessage)
+      assert(svi.batchesProcessed == 1)
+      assert(svi.votesOf(0).sameElements(Array(1)))
+    }
   }
 
   private lazy val small = Datasets.generate("movie", sf = 0.1)

@@ -63,7 +63,6 @@ class CpaViSpec extends AnyFunSuite {
     val rest = (0 until ds.nItems).filterNot(known.contains)
     def prOf(mm: CpaModel) = {
       val preds = rest.map(i => i -> mm.predictItem(i)).toMap
-      val sub = ds.copy()
       var sp = 0.0; var sr = 0.0
       rest.foreach { i =>
         sp += Metrics.itemPrecision(ds.truth(i), preds(i))

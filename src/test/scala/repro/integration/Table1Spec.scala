@@ -2,7 +2,6 @@ package repro.integration
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines.MajorityVote
-import repro.crowd.Metrics
 import repro.tables.Tables
 
 /** The §2.1 motivating example (Table 1). */

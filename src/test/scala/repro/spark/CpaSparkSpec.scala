@@ -34,7 +34,7 @@ class CpaSparkSpec extends SparkSpec {
     val yhat = CpaCore.initYhat(ds.answers, ds.nItems, cand)
     CpaCore.updateGlobals(g, cfg, 1.0, localEngine.bootstrapLambda(g.T, g.M, g.C, kappa, phi), 1.0,
       Array.range(0, ds.nWorkers), kappa, 1.0, Array.range(0, ds.nItems), phi, cand(_), yhat(_), 1.0)
-    val d = CpaCore.derive(g, CpaCore.colSums(phi), phi, yhat.map(_.sum), localEngine.meanAnswerSize)
+    val d = CpaCore.derive(g, phi, yhat.map(_.sum), localEngine.meanAnswerSize)
     val first = localEngine.computeStats(g.T, g.M, g.C, ds.nItems, kappa, phi, cand, yhat, d,
       Array.fill(g.M * g.C)(0.65), Array.fill(g.M * g.C)(0.08))
     val (sens, fp) = CpaCore.communityCoins(first, localEngine.meanAnswerSize)
@@ -202,6 +202,31 @@ class CpaSparkSpec extends SparkSpec {
   test("a Spark fit with more clusters than items equals the local fit") {
     assert(cfg.T > 6)
     assertSparkFitsLikeLocal(tinyAnswers(6, 8, 7), 6, 8, 7)
+  }
+
+  test("on random small inputs a Spark fit equals the local fit") {
+    import org.scalacheck.{Gen, Prop, Test}
+    val genCase = for {
+      nItems <- Gen.choose(1, 8)
+      nWorkers <- Gen.choose(1, 6)
+      nLabels <- Gen.choose(1, 6)
+      n <- Gen.choose(0, 30)
+      as <- Gen.listOfN(n, for {
+        i <- Gen.choose(0, nItems - 1)
+        u <- Gen.choose(0, nWorkers - 1)
+        ls <- Gen.nonEmptyContainerOf[Set, Int](Gen.choose(0, nLabels - 1))
+      } yield Answer(i, u, ls.toArray.sorted))
+    } yield (nItems, nWorkers, nLabels, as.distinctBy(a => (a.item, a.worker)).toVector)
+    def close(a: Array[Array[Double]], b: Array[Array[Double]]) =
+      a.length == b.length && a.indices.forall(k =>
+        a(k).length == b(k).length && a(k).indices.forall(j => math.abs(a(k)(j) - b(k)(j)) < 1e-6))
+    val prop = Prop.forAllNoShrink(genCase) { case (nItems, nWorkers, nLabels, as) =>
+      val (onDriver, onSpark) = assertSparkFitsLikeLocal(as, nItems, nWorkers, nLabels)
+      close(onSpark.kappa, onDriver.kappa) && close(onSpark.phi, onDriver.phi)
+    }
+    val res = Test.check(
+      Test.Parameters.default.withMinSuccessfulTests(10).withInitialSeed(11L), prop)
+    assert(res.passed, res.status.toString)
   }
 
   test("a Spark fit rejects out-of-range item and worker ids up front") {
