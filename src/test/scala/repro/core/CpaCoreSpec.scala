@@ -117,13 +117,18 @@ class CpaCoreSpec extends AnyFunSuite {
     d.nbar.foreach(v => assert(v >= 0.5 && v <= 2.6 + 1e-9))
   }
 
-  test("kappaFromLogits gives answering workers a distribution and keeps the others' rows") {
+  test("kappaRow returns a distribution over communities") {
     val (_, _, phi, kappa, _, _, d) = freshState()
-    // Worker 2 has no answers among worker 0's.
     val rows = kappaFromLogits(kappa,
       kappaLogits(answers.iterator.filter(_.worker == 0), U, phi, d.dlam)(d.elnPi.clone()))
     assert(math.abs(rows(0).sum - 1.0) < 1e-9)
     rows(0).foreach(v => assert(v >= 0))
+  }
+  test("kappaFromLogits keeps a copy of the row of a worker without answers") {
+    val (_, _, phi, kappa, _, _, d) = freshState()
+    // Worker 2 has no answers among worker 0's.
+    val rows = kappaFromLogits(kappa,
+      kappaLogits(answers.iterator.filter(_.worker == 0), U, phi, d.dlam)(d.elnPi.clone()))
     assert(rows(2).sameElements(kappa(2)) && (rows(2) ne kappa(2)))
   }
 
