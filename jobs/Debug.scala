@@ -14,7 +14,7 @@ object Debug {
     val mass = new Array[Double](m.globals.T)
     for (i <- 0 until ds.nItems; t <- 0 until m.globals.T) mass(t) += m.phi(i)(t)
     println(s"cluster mass: ${mass.map(x => f"$x%.0f").mkString(",")}")
-    println(s"nbar: ${m.derived.nbar.map(x => f"$x%.2f").mkString(",")}")
+    println(s"nbar: ${m.lastStats.nbar.map(x => f"$x%.2f").mkString(",")}")
 
     // Purity: do items of the same generated truth-cluster co-locate?
     // (approximate via top truth label agreement within learned cluster)
@@ -23,11 +23,11 @@ object Debug {
     for (i <- 0 until ds.nItems) {
       val truth = ds.truth(i).toSet
       val labels = m.cand(i)
-      val s = CpaCore.inclusionScores(i, labels, labels, m.phi(i), m.derived, m.lastStats)
+      val s = CpaCore.inclusionScores(i, labels, labels, m.phi(i), m.lastStats)
       val scale = CpaCore.evidenceScale(m.lastStats.nAns(i))
       for (j <- labels.indices) {
         val c = labels(j)
-        val p0 = CpaCore.clusterPrior(c, m.phi(i), m.derived)
+        val p0 = CpaCore.clusterPrior(c, m.phi(i), m.lastStats)
         val llr = scale * m.lastStats.llr(i)(j)
         if (truth(c)) { tp0 += p0; tllr += llr; ts += s(j); tn += 1 }
         else { fp0 += p0; fllr += llr; fs += s(j); fn += 1 }

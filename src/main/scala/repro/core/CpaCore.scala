@@ -44,24 +44,37 @@ object CpaCore {
       lambda.map(_.map(_.clone())), zeta.map(_.clone()))
   }
 
-  /** Quantities derived from [[Globals]] once per VI iteration or SVI batch
-    * and broadcast to wherever the per-answer statistics are computed. Holds
-    * only what the engine passes, the ϕ/ŷ updates and prediction read.
+  /** Expectations derived from [[Globals]] once per VI iteration or SVI
+    * batch and broadcast to wherever the per-answer statistics are computed.
+    * Holds only what the engine passes and [[phiRow]] read; the truth step
+    * and prediction read a [[TruthLayer]] instead.
     *
     * @param elnPi  E[ln π_m] under the stick posterior (M)
     * @param elnTau E[ln τ_t] (T)
     * @param dlam   E[ln ψ_tmc] = ψ(λ_tmc) − ψ(Σ_c λ_tmc)   (T×M×C)
     * @param elphi  E[ln φ_tc]                                 (T×C)
-    * @param phiHat posterior-mean cluster label dist φ̂_tc     (T×C)
-    * @param nbar   expected true-label-set size per cluster (T)
     */
   final class Derived(
       val elnPi: Array[Double],
       val elnTau: Array[Double],
       val dlam: Array[Array[Array[Double]]],
-      val elphi: Array[Array[Double]],
+      val elphi: Array[Array[Double]]) extends Serializable
+
+  /** Everything the truth layer reads: [[clusterPrior]], [[inclusionScores]],
+    * [[truthStep]] and [[CpaModel.predictItem]] (§3.4 per item).
+    *
+    * @param phiHat posterior-mean cluster label dist φ̂_tc     (T×C)
+    * @param nbar   expected true-label-set size per cluster (T)
+    * @param llr    per item, the accumulated vote log-likelihood ratios
+    *               aligned with its sorted candidates (null for an item
+    *               without answers; see [[SuffStats]])
+    * @param nAns   per item: number of answers (I)
+    */
+  final class TruthLayer(
       val phiHat: Array[Array[Double]],
-      val nbar: Array[Double]) extends Serializable
+      val nbar: Array[Double],
+      val llr: Array[Array[Double]],
+      val nAns: Array[Double]) extends Serializable
 
   /** Per-iteration sufficient statistics accumulated over answers (the
     * REDUCE-phase payload of Algorithm 3). Mergeable => usable as a Spark
@@ -318,26 +331,27 @@ object CpaCore {
     out
   }
 
-  /** Posterior mean of a Dirichlet row (used as the MAP-style plug-in ψ̂, φ̂;
-    * the mode is undefined for concentrations < 1 so the mean is the robust
-    * plug-in — documented deviation from the paper's "mode").
-    */
-  def dirMean(params: Array[Double]): Array[Double] = normalise(params)
+  /** Build the expectations the engine passes and [[phiRow]] read. */
+  def derive(g: Globals): Derived = {
+    val T = g.T; val M = g.M
+    new Derived(sticksElog(g.rho1, g.rho2), sticksElog(g.ups1, g.ups2),
+      Array.tabulate(T, M)((t, m) => dirElog(g.lambda(t)(m))),
+      Array.tabulate(T)(t => dirElog(g.zeta(t))))
+  }
 
-  /** Build all derived quantities from the globals.
+  /** Build the truth layer over the vote statistics `llr` and `nAns` (held,
+    * not copied). φ̂_t is the posterior mean of the Dirichlet row ζ_t (the
+    * mode is undefined for concentrations < 1, so the mean is the robust
+    * plug-in — documented deviation from the paper's "mode").
     *
     * @param phi            current ϕ (I×T) and `yhatSize` the matching
     *                       Σ_c ŷ_ic per item (I): n̄_t is their ϕ-weighted mean
     * @param meanAnswerSize observed mean answer size, which bounds n̄
     */
-  def derive(g: Globals, phi: Array[Array[Double]], yhatSize: Array[Double],
-      meanAnswerSize: Double): Derived = {
-    val T = g.T; val M = g.M
-    val elnPi = sticksElog(g.rho1, g.rho2)
-    val elnTau = sticksElog(g.ups1, g.ups2)
-    val dlam = Array.tabulate(T, M)((t, m) => dirElog(g.lambda(t)(m)))
-    val elphi = Array.tabulate(T)(t => dirElog(g.zeta(t)))
-    val phiHat = Array.tabulate(T)(t => dirMean(g.zeta(t)))
+  def truthLayer(g: Globals, phi: Array[Array[Double]], yhatSize: Array[Double],
+      meanAnswerSize: Double, llr: Array[Array[Double]], nAns: Array[Double]): TruthLayer = {
+    val T = g.T
+    val phiHat = Array.tabulate(T)(t => normalise(g.zeta(t)))
 
     // Expected label-set size per cluster: ϕ-mass-weighted mean of Σ_c ŷ_ic.
     // Anchor it to the observed mean answer size: worker answers are noisy
@@ -357,7 +371,7 @@ object CpaCore {
       math.min(cap, math.max(floor, if (den(t) > 1e-9) num(t) / den(t) else 1.0))
     }
 
-    new Derived(elnPi, elnTau, dlam, elphi, phiHat, nbar)
+    new TruthLayer(phiHat, nbar, llr, nAns)
   }
 
   // ---------------------------------------------------------------------
@@ -586,11 +600,11 @@ object CpaCore {
   /** Cluster-mixture prior of label c on an item with responsibilities
     * `phiRow`: p0_c = Σ_t ϕ_it min(0.97, n̄_t φ̂_tc), clamped to [0.01, 0.95].
     */
-  def clusterPrior(c: Int, phiRow: Array[Double], d: Derived): Double = {
+  def clusterPrior(c: Int, phiRow: Array[Double], tl: TruthLayer): Double = {
     var p0 = 0.0
     var t = 0
     while (t < phiRow.length) {
-      p0 += phiRow(t) * math.min(0.97, d.nbar(t) * d.phiHat(t)(c))
+      p0 += phiRow(t) * math.min(0.97, tl.nbar(t) * tl.phiHat(t)(c))
       t += 1
     }
     math.min(0.95, math.max(0.01, p0))
@@ -604,19 +618,19 @@ object CpaCore {
   /** Per-label inclusion posterior for the latent truth (DESIGN.md §2 note 2):
     * the [[clusterPrior]] p0_c combined with the vote log-likelihood ratio
     * scaled by [[evidenceScale]]. Returns values for the given sorted label
-    * set; `cand` is the item's sorted candidate set that `st.llr(item)` is
+    * set; `cand` is the item's sorted candidate set that `tl.llr(item)` is
     * aligned with. Labels outside it have no vote evidence (llr 0).
     */
   def inclusionScores(item: Int, labels: Array[Int], cand: Array[Int], phiRow: Array[Double],
-      d: Derived, st: SuffStats): Array[Double] = {
-    val row = st.llr(item)
-    val scale = evidenceScale(st.nAns(item))
+      tl: TruthLayer): Array[Double] = {
+    val row = tl.llr(item)
+    val scale = evidenceScale(tl.nAns(item))
     val out = new Array[Double](labels.length)
     var k = 0 // two-pointer walk: both labels and cand are sorted
     var j = 0
     while (j < labels.length) {
       val c = labels(j)
-      val p0 = clusterPrior(c, phiRow, d)
+      val p0 = clusterPrior(c, phiRow, tl)
       var vote = 0.0
       if (row != null) {
         while (k < cand.length && cand(k) < c) k += 1
@@ -636,13 +650,13 @@ object CpaCore {
     * Returns Σ |Δŷ| over all updated slots.
     */
   def truthStep(items: Array[Int], cand: Array[Array[Int]], yhat: Array[Array[Double]],
-      phi: Array[Array[Double]], d: Derived, st: SuffStats): Double = {
+      phi: Array[Array[Double]], tl: TruthLayer): Double = {
     var delta = 0.0
     var k = 0
     while (k < items.length) {
       val i = items(k)
       val y = yhat(i)
-      val s = inclusionScores(i, cand(i), cand(i), phi(i), d, st)
+      val s = inclusionScores(i, cand(i), cand(i), phi(i), tl)
       var j = 0
       while (j < s.length) {
         val v = 0.5 * y(j) + 0.5 * s(j)

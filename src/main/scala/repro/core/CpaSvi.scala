@@ -13,6 +13,7 @@ import scala.reflect.ClassTag
   * answers: [[CpaCore.derive]], the κ and statistics passes of a
   * [[LocalEngine]] over the batch, [[CpaCore.phiRow]] and the truth step
   * [[CpaCore.truthStep]] on the batch items, and [[CpaCore.updateGlobals]].
+  * Unlike VI, the truth layer's vote statistics are cumulative over batches.
   * Per the paper, only the most recent parameter values are kept — the model
   * is never re-inferred from the full answer set, which is what makes the
   * accumulated runtime O(T1/B + T2) per batch instead of O(T1 + T2) per
@@ -48,16 +49,18 @@ final class CpaSvi(
 
   // Per-item candidate rows: cands(i) holds the labels voted for item i so
   // far, sorted and distinct; votes(i) (vote counts), yh(i) (soft truth ŷ)
-  // and truth.llr(i) are aligned with it slot for slot, and ySize(i) = Σ_j
+  // and llr(i) are aligned with it slot for slot, and ySize(i) = Σ_j
   // yh(i)(j). A newly voted label is inserted into all four rows at its sorted
   // position, so a batch reads and writes only the rows of its own items.
   private val cands = Array.fill(nItems)(Array.emptyIntArray)
   private val votes = Array.fill(nItems)(Array.emptyIntArray)
   private val yh = Array.fill(nItems)(Array.emptyDoubleArray)
   private val ySize = new Array[Double](nItems)
-  // Cumulative truth-layer statistics for online prediction: per-item answer
-  // counts (nAns) and vote log-likelihood ratios (llr rows, aligned with cands).
-  private val truth = CpaCore.emptyStats(1, 1, 1, nItems)
+  // Cumulative truth-layer statistics: per-item vote log-likelihood ratios
+  // (llr rows, aligned with cands; null until the item's first answer) and
+  // answer counts (nAns).
+  private val llr = new Array[Array[Double]](nItems)
+  private val nAns = new Array[Double](nItems)
 
   private val sensMc = Array.fill(M * nLabels)(0.65)
   private val fpMc = Array.fill(M * nLabels)(0.08)
@@ -88,7 +91,7 @@ final class CpaSvi(
       cands(i) = CpaSvi.inserted(cands(i), j, c)
       votes(i) = CpaSvi.inserted(votes(i), j, 0)
       yh(i) = CpaSvi.inserted(yh(i), j, Double.NaN)
-      truth.llr(i) = CpaSvi.inserted(truth.llr(i), j, 0.0)
+      llr(i) = CpaSvi.inserted(llr(i), j, 0.0)
       j
     }
   }
@@ -107,8 +110,8 @@ final class CpaSvi(
     // --- Register votes; initialise new candidates from sharpened shares. ---
     batch.foreach { a =>
       val i = a.item
-      if (truth.nAns(i) == 0) { itemsSeen += 1; truth.llr(i) = Array.emptyDoubleArray }
-      truth.nAns(i) += 1.0
+      if (nAns(i) == 0) { itemsSeen += 1; llr(i) = Array.emptyDoubleArray }
+      nAns(i) += 1.0
       answersSeen += 1
       labelMassSeen += a.labels.length
       a.labels.foreach { c =>
@@ -122,14 +125,16 @@ final class CpaSvi(
       val y = yh(i)
       var j = 0
       while (j < y.length) {
-        if (y(j).isNaN) y(j) = CpaCore.sharpenedShare(votes(i)(j), truth.nAns(i))
+        if (y(j).isNaN) y(j) = CpaCore.sharpenedShare(votes(i)(j), nAns(i))
         j += 1
       }
       ySize(i) = y.sum
     }
 
-    // --- Derived expectations, κ (Eq 2) and statistics on batch data. ---
-    val d = CpaCore.derive(g, phi, ySize, meanAnswerSize)
+    // --- Derived expectations, the truth layer (φ̂ and n̄ from before the
+    // global update), κ (Eq 2) and statistics on batch data. ---
+    val d = CpaCore.derive(g)
+    val truth = CpaCore.truthLayer(g, phi, ySize, meanAnswerSize, llr, nAns)
     val engine = new LocalEngine(batch)
     if (!cfg.noZ) kappa = engine.computeKappa(kappa, phi, d)
     val st = engine.computeStats(T, M, nLabels, nItems, kappa, phi, cands, yh, d, sensMc, fpMc)
@@ -143,11 +148,11 @@ final class CpaSvi(
 
     // --- ϕ and ŷ for batch items (mean-parameter mixing, Eq 15-17). ---
     // Merge batch vote statistics into the cumulative truth-layer state first.
-    batchItems.foreach(it => CpaCore.addInto(truth.llr(it), st.llr(it)))
+    batchItems.foreach(it => CpaCore.addInto(llr(it), st.llr(it)))
     if (!cfg.noL) batchItems.foreach { it =>
       CpaCore.blend(phi(it), CpaCore.phiRow(it, st.aIt, cands(it), yh(it), d), omega)
     }
-    CpaCore.truthStep(batchItems, cands, yh, phi, d, truth)
+    CpaCore.truthStep(batchItems, cands, yh, phi, truth)
     batchItems.foreach(it => ySize(it) = yh(it).sum)
 
     // --- Community coin re-estimation (blended). ---
@@ -157,14 +162,14 @@ final class CpaSvi(
   }
 
   /** Snapshot the current state as a [[CpaModel]] for (online) prediction.
-    * The candidate rows, ŷ and truth statistics are copied, so later batches
-    * leave the snapshot as is.
+    * The candidate rows, ŷ and truth statistics are copied (an unseen item's
+    * llr row stays null), so later batches leave the snapshot as is.
     */
   def toModel: CpaModel = {
-    val d = CpaCore.derive(g, phi, ySize, meanAnswerSize)
+    val truth = CpaCore.truthLayer(g, phi, ySize, meanAnswerSize,
+      llr.map(row => if (row == null) null else row.clone()), nAns.clone())
     new CpaModel(cfg, nItems, nWorkers, nLabels, g, kappa, phi,
-      cands.map(_.clone()), yh.map(_.clone()), d,
-      CpaCore.emptyStats(1, 1, 1, nItems).merge(truth), sensMc, fpMc, batchIndex)
+      cands.map(_.clone()), yh.map(_.clone()), truth, sensMc, fpMc, batchIndex)
   }
 }
 

@@ -2,8 +2,9 @@ package repro.core
 
 import repro.crowd.Answer
 
-/** Result of CPA inference: converged variational state plus the statistics
-  * needed to instantiate label sets (§3.4).
+/** Result of CPA inference: converged variational state plus the truth
+  * layer `lastStats` (after the last global update) that instantiates label
+  * sets (§3.4).
   */
 final class CpaModel(
     val cfg: CpaConfig,
@@ -15,8 +16,7 @@ final class CpaModel(
     val phi: Array[Array[Double]],
     val cand: Array[Array[Int]],
     val yhat: Array[Array[Double]],
-    val derived: CpaCore.Derived,
-    val lastStats: CpaCore.SuffStats,
+    val lastStats: CpaCore.TruthLayer,
     val sensMc: Array[Double],
     val fpMc: Array[Double],
     val iterations: Int) extends Serializable {
@@ -42,10 +42,10 @@ final class CpaModel(
     var t = 0
     while (t < T) {
       if (phi(i)(t) > 0.1) {
-        val ph = derived.phiHat(t)
+        val ph = lastStats.phiHat(t)
         var c = 0
         while (c < nLabels) {
-          if (derived.nbar(t) * ph(c) > 0.3) extra += c
+          if (lastStats.nbar(t) * ph(c) > 0.3) extra += c
           c += 1
         }
       }
@@ -53,7 +53,7 @@ final class CpaModel(
     }
     cand(i).foreach(extra += _)
     val labels = extra.toArray
-    val s = CpaCore.inclusionScores(i, labels, cand(i), phi(i), derived, lastStats)
+    val s = CpaCore.inclusionScores(i, labels, cand(i), phi(i), lastStats)
     val order = labels.indices.sortBy(j => -s(j))
     val out = scala.collection.mutable.ArrayBuffer.empty[Int]
     var k = 0
@@ -90,7 +90,9 @@ object CpaVi {
     * cannot cheaply materialise answers locally may pass a sample. Every
     * answer's item and worker ids must lie within [0, nItems) and
     * [0, nWorkers), and its labels must be strictly increasing within
-    * [0, nLabels).
+    * [0, nLabels). `knownY` pins the soft truth ŷ of the given items to
+    * their observed labels (Eq 7 with y); [[CpaModel.predictItem]] does not
+    * read ŷ, so a known item's predicted set still comes from its votes.
     */
   def fitEngine(engine: CpaEngine, initAnswers: Seq[Answer],
       nItems: Int, nWorkers: Int, nLabels: Int,
@@ -137,13 +139,12 @@ object CpaVi {
 
     val nCandTotal = cand.iterator.map(_.length).sum
     val freeItems = allItems.filterNot(knownY.contains)
-    var d: CpaCore.Derived = null
     var st: CpaCore.SuffStats = null
     var iter = 0
     var converged = false
     while (iter < cfg.maxIter && !converged) {
       // --- Derived expectations from current globals. ---
-      d = CpaCore.derive(g, phi, yhat.map(_.sum), meanAnswerSize)
+      val d = CpaCore.derive(g)
 
       // --- MAP phase 1: worker communities (Eq 2). ---
       if (!cfg.noZ) kappa = engine.computeKappa(kappa, phi, d)
@@ -151,6 +152,8 @@ object CpaVi {
       // --- MAP phase 2 + REDUCE: per-answer sufficient statistics. ---
       st = engine.computeStats(T, M, nLabels, nItems, kappa, phi, cand, yhat, d,
         sensMc, fpMc)
+      // The truth layer at the ϕ and ŷ the statistics pass read.
+      val truth = CpaCore.truthLayer(g, phi, yhat.map(_.sum), meanAnswerSize, st.llr, st.nAns)
       // Re-estimated community reliability for the next iteration's weighting.
       val coins = CpaCore.communityCoins(st, meanAnswerSize)
       sensMc = coins._1; fpMc = coins._2
@@ -172,7 +175,7 @@ object CpaVi {
       }
 
       // --- Latent truth re-estimation (skipping observed items). ---
-      val yDeltaMean = CpaCore.truthStep(freeItems, cand, yhat, phi, d, st) / math.max(1, nCandTotal)
+      val yDeltaMean = CpaCore.truthStep(freeItems, cand, yhat, phi, truth) / math.max(1, nCandTotal)
       if (cfg.noL) delta = yDeltaMean
 
       // --- Global updates (Eq 4-7). ---
@@ -183,10 +186,10 @@ object CpaVi {
       if (delta < cfg.tol && yDeltaMean < 10 * cfg.tol) converged = true
     }
 
-    // Final derived state for prediction (reflecting the last global update).
-    d = CpaCore.derive(g, phi, yhat.map(_.sum), meanAnswerSize)
+    // Final truth layer for prediction (reflecting the last global update).
+    val truth = CpaCore.truthLayer(g, phi, yhat.map(_.sum), meanAnswerSize, st.llr, st.nAns)
 
-    new CpaModel(cfg, nItems, nWorkers, nLabels, g, kappa, phi, cand, yhat, d, st,
+    new CpaModel(cfg, nItems, nWorkers, nLabels, g, kappa, phi, cand, yhat, truth,
       sensMc, fpMc, iter)
   }
 }

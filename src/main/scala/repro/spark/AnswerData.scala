@@ -43,8 +43,4 @@ object AnswerData {
     import spark.implicits._
     pred.toSeq.map { case (i, ls) => (i, ls.toSeq) }.toDF("item", "labels")
   }
-
-  /** Typed Dataset back to local answers. */
-  def collect(ds: Dataset[AnswerRow]): Seq[Answer] =
-    ds.collect().toSeq.map(r => Answer(r.item, r.worker, r.labels.toArray.sorted))
 }

@@ -1,5 +1,6 @@
 package repro.spark
 
+import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, SparkSession}
@@ -31,11 +32,18 @@ import scala.reflect.ClassTag
   * Each pass broadcasts one value holding only what its kernel reads, and
   * destroys it when the pass ends.
   *
-  * Prediction is a `groupBy(item)`-shaped pass: one task per item slice
-  * applies the greedy MAP instantiation independently (§3.4, "instantiation
-  * can be done independently for all items").
+  * Prediction is one pass over the item ids: each task applies the greedy
+  * MAP instantiation to its slice of items of the broadcast model
+  * independently (§3.4, "instantiation can be done independently for all
+  * items").
   */
 object CpaSpark {
+
+  /** Run `pass` with `value` broadcast, and destroy the broadcast after it. */
+  private def withBroadcast[V: ClassTag, R](sc: SparkContext, value: V)(pass: Broadcast[V] => R): R = {
+    val b = sc.broadcast(value)
+    try pass(b) finally b.destroy()
+  }
 
   /** What the κ kernel reads (broadcast by [[SparkEngine.computeKappa]]). */
   private final case class KappaInput(phi: Array[Array[Double]], dlam: Array[Array[Array[Double]]])
@@ -60,12 +68,6 @@ object CpaSpark {
       ds.rdd.map(r => Answer(r.item, r.worker, r.labels.toArray))
         .coalesce(sc.defaultParallelism)
 
-    /** Run `pass` with `value` broadcast, and destroy the broadcast after it. */
-    private def withBroadcast[V: ClassTag, R](value: V)(pass: Broadcast[V] => R): R = {
-      val b = sc.broadcast(value)
-      try pass(b) finally b.destroy()
-    }
-
     override def candidates(nItems: Int): Array[Array[Int]] = {
       val sets = Array.fill(nItems)(scala.collection.mutable.SortedSet.empty[Int])
       answers.mapPartitions { it =>
@@ -79,7 +81,7 @@ object CpaSpark {
         d: CpaCore.Derived): Array[Array[Double]] = {
       val U = kappa.length
       val M = d.elnPi.length
-      val partials = withBroadcast(KappaInput(phi, d.dlam)) { b =>
+      val partials = withBroadcast(sc, KappaInput(phi, d.dlam)) { b =>
         answers.mapPartitions { it =>
           val in = b.value
           val rows = CpaCore.kappaLogits(it, U, in.phi, in.dlam)(new Array[Double](M))
@@ -98,7 +100,7 @@ object CpaSpark {
         kappa: Array[Array[Double]], phi: Array[Array[Double]],
         cand: Array[Array[Int]], yhat: Array[Array[Double]],
         d: CpaCore.Derived, sensMc: Array[Double], fpMc: Array[Double]): CpaCore.SuffStats =
-      withBroadcast(StatsInput(kappa, phi, cand, yhat, d.dlam, sensMc, fpMc)) { b =>
+      withBroadcast(sc, StatsInput(kappa, phi, cand, yhat, d.dlam, sensMc, fpMc)) { b =>
         answers.mapPartitions { it =>
           val in = b.value
           val st = CpaCore.emptyStats(T, M, C, I)
@@ -110,7 +112,7 @@ object CpaSpark {
 
     override def bootstrapLambda(T: Int, M: Int, C: Int,
         kappa: Array[Array[Double]], phi: Array[Array[Double]]): Array[Double] =
-      withBroadcast(LambdaInput(kappa, phi)) { b =>
+      withBroadcast(sc, LambdaInput(kappa, phi)) { b =>
         answers.mapPartitions { it =>
           val in = b.value
           val stat = new Array[Double](T * M * C)
@@ -139,17 +141,11 @@ object CpaSpark {
   }
 
   /** Distributed prediction: the greedy instantiation per item, parallelised
-    * over items (each item is independent, §3.4). Returns (item, labels).
+    * over items (each item is independent, §3.4), as a map item → labels.
     */
-  def predictDs(spark: SparkSession, model: CpaModel): Dataset[(Int, Seq[Int])] = {
-    import spark.implicits._
-    val bModel = spark.sparkContext.broadcast(model)
-    spark.range(model.nItems.toLong)
-      .as[Long]
-      .map(i => (i.toInt, bModel.value.predictItem(i.toInt).toSeq))
-  }
-
-  /** Majority-voting-compatible prediction map computed via Spark. */
   def predict(spark: SparkSession, model: CpaModel): Map[Int, Array[Int]] =
-    predictDs(spark, model).collect().map { case (i, ls) => i -> ls.toArray }.toMap
+    withBroadcast(spark.sparkContext, model) { b =>
+      spark.sparkContext.parallelize(0 until model.nItems)
+        .map(i => i -> b.value.predictItem(i)).collect().toMap
+    }
 }

@@ -33,10 +33,6 @@ class CpaCoreSpec extends AnyFunSuite {
     val ds = MathFn.digamma(10.0)
     p.indices.foreach(i => assert(math.abs(e(i) - (MathFn.digamma(p(i)) - ds)) < 1e-12))
   }
-  test("dirMean is the normalised parameter vector") {
-    val m = dirMean(Array(1.0, 3.0))
-    assert(math.abs(m(0) - 0.25) < 1e-12 && math.abs(m(1) - 0.75) < 1e-12)
-  }
 
   test("updateSticks implements Eq 4/5") {
     val (a, b) = updateSticks(Array(2.0, 3.0, 1.0), conc = 0.5)
@@ -100,21 +96,27 @@ class CpaCoreSpec extends AnyFunSuite {
     val kappa = initKappa(U, g.M, 1)
     val cand = candidates(answers, I)
     val yhat = initYhat(answers, I, cand)
-    val d = derive(g, phi, yhat.map(_.sum), 1.5)
+    val d = derive(g)
     (cfg, g, phi, kappa, cand, yhat, d)
   }
 
+  /** The truth layer of the fresh state over the vote statistics of `st`. */
+  private def truthOf(g: Globals, phi: Array[Array[Double]], yhat: Array[Array[Double]],
+      st: SuffStats, meanAnswerSize: Double = 1.5): TruthLayer =
+    truthLayer(g, phi, yhat.map(_.sum), meanAnswerSize, st.llr, st.nAns)
+
   test("derive produces finite expectations and cluster label distributions") {
-    val (_, _, _, _, _, _, d) = freshState()
+    val (_, g, phi, _, _, yhat, d) = freshState()
     d.elnPi.foreach(v => assert(!v.isNaN && v < 0))
     d.elnTau.foreach(v => assert(!v.isNaN && v < 0))
-    d.phiHat.foreach(row => assert(math.abs(row.sum - 1.0) < 1e-9 && row.forall(_ > 0)))
-    d.nbar.foreach(v => assert(v > 0))
+    val tl = truthOf(g, phi, yhat, emptyStats(g.T, g.M, C, I))
+    tl.phiHat.foreach(row => assert(math.abs(row.sum - 1.0) < 1e-9 && row.forall(_ > 0)))
+    tl.nbar.foreach(v => assert(v > 0))
   }
   test("derive anchors nbar to the mean answer size") {
     val (_, g, phi, _, _, yhat, _) = freshState()
-    val d = derive(g, phi, yhat.map(_.sum), meanAnswerSize = 2.0)
-    d.nbar.foreach(v => assert(v >= 0.5 && v <= 2.6 + 1e-9))
+    val tl = truthOf(g, phi, yhat, emptyStats(g.T, g.M, C, I), meanAnswerSize = 2.0)
+    tl.nbar.foreach(v => assert(v >= 0.5 && v <= 2.6 + 1e-9))
   }
 
   test("kappaRow returns a distribution over communities") {
@@ -227,7 +229,7 @@ class CpaCoreSpec extends AnyFunSuite {
       val kappa = initKappa(3, g.M, 1)
       val cand = candidates(as, nItems)
       val yhat = initYhat(as, nItems, cand)
-      val d = derive(g, phi, yhat.map(_.sum), 1.5)
+      val d = derive(g)
       val sens = Array.fill(g.M * nLabels)(0.65); val fp = Array.fill(g.M * nLabels)(0.08)
       def stats(xs: Seq[Answer]) = {
         val st = emptyStats(g.T, g.M, nLabels, nItems)
@@ -289,28 +291,29 @@ class CpaCoreSpec extends AnyFunSuite {
   }
 
   test("inclusionScores are probabilities and favour strongly-voted labels") {
-    val (_, _, phi, kappa, cand, yhat, d) = freshState()
+    val (_, g, phi, kappa, cand, yhat, d) = freshState()
     val st = emptyStats(4, 2, C, I)
     val sens = Array.fill(2 * C)(0.65); val fp = Array.fill(2 * C)(0.08)
     answers.foreach(a =>
       accumulate(st, a, kappa(a.worker), phi(a.item), d.dlam, cand(a.item), yhat(a.item), sens, fp))
-    val s = inclusionScores(0, cand(0), cand(0), phi(0), d, st)
+    val s = inclusionScores(0, cand(0), cand(0), phi(0), truthOf(g, phi, yhat, st))
     s.foreach(v => assert(v >= 0 && v <= 1))
     // label 1 (2/2 votes) must beat label 0 (1/2 votes) on item 0
     assert(s(1) > s(0))
   }
 
   test("inclusionScores of a label outside the candidates is the prior-only score") {
-    val (_, _, phi, kappa, cand, yhat, d) = freshState()
+    val (_, g, phi, kappa, cand, yhat, d) = freshState()
     val st = emptyStats(4, 2, C, I)
     val sens = Array.fill(2 * C)(0.65); val fp = Array.fill(2 * C)(0.08)
     answers.foreach(a =>
       accumulate(st, a, kappa(a.worker), phi(a.item), d.dlam, cand(a.item), yhat(a.item), sens, fp))
     // item 0: candidates {0, 1}; label 3 was voted by nobody.
-    val s = inclusionScores(0, Array(1, 3), cand(0), phi(0), d, st)
+    val tl = truthOf(g, phi, yhat, st)
+    val s = inclusionScores(0, Array(1, 3), cand(0), phi(0), tl)
     def prior(c: Int) = {
       var p0 = 0.0
-      for (t <- phi(0).indices) p0 += phi(0)(t) * math.min(0.97, d.nbar(t) * d.phiHat(t)(c))
+      for (t <- phi(0).indices) p0 += phi(0)(t) * math.min(0.97, tl.nbar(t) * tl.phiHat(t)(c))
       math.min(0.95, math.max(0.01, p0))
     }
     assert(math.abs(s(1) - prior(3)) < 1e-12) // σ(logit p0) = p0: no vote evidence

@@ -141,4 +141,44 @@ class CpaSviSpec extends AnyFunSuite {
     val m = afterOneBatch(CpaConfig(noZ = true))
     (0 until small.nWorkers).foreach(u => assert(oneHotAt(m.kappa(u), u), s"kappa($u)"))
   }
+
+  /** An SVI fit of `answers` that ends with normalised ϕ and κ rows, ŷ in
+    * [0, 1], predicted labels in [0, nLabels), and a truth layer with an llr
+    * row (aligned with the candidates) and answer count for exactly the
+    * answered items.
+    */
+  private def saneSviFit(answers: Seq[Answer], nItems: Int, nWorkers: Int, nLabels: Int): CpaModel = {
+    val m = CpaSvi.fit(answers, nItems, nWorkers, nLabels)
+    m.phi.foreach(row => assert(math.abs(row.sum - 1.0) < 1e-9, row.toSeq))
+    m.kappa.foreach(row => assert(math.abs(row.sum - 1.0) < 1e-9, row.toSeq))
+    m.yhat.foreach(_.foreach(v => assert(v >= 0 && v <= 1)))
+    m.predict().foreach { case (i, ls) => ls.foreach(c => assert(c >= 0 && c < nLabels, s"item $i: $c")) }
+    (0 until nItems).foreach { i =>
+      val n = answers.count(_.item == i)
+      assert(m.lastStats.nAns(i) == n, s"nAns($i)")
+      if (n == 0) assert(m.lastStats.llr(i) == null, s"llr($i)")
+      else assert(m.lastStats.llr(i).length == m.cand(i).length, s"llr($i)")
+    }
+    m
+  }
+
+  test("SVI on zero answers gives a model without vote statistics") {
+    val m = saneSviFit(Seq.empty, 4, 3, 5)
+    assert(m.iterations == 0)
+  }
+  test("SVI on a one-label vocabulary gives a sane model") {
+    // Item 9 stays unseen: its llr row stays null.
+    val answers = TinyAnswers(10, 5, 1).filter(_.item != 9)
+    assert(answers.forall(_.labels.sameElements(Array(0))))
+    assert(saneSviFit(answers, 10, 5, 1).lastStats.llr(9) == null)
+  }
+  test("SVI with more clusters than items gives a sane model") {
+    assert(CpaConfig().T > 6)
+    val m = saneSviFit(TinyAnswers(6, 8, 7), 6, 8, 7)
+    assert(m.globals.T == 6)
+  }
+  test("a worker with no answers keeps their initial κ row under SVI") {
+    val m = saneSviFit(TinyAnswers(12, 6, 5, silent = Set(2)), 12, 6, 5)
+    assert(m.kappa(2).sameElements(CpaCore.initKappa(6, m.globals.M, CpaConfig().seed)(2)))
+  }
 }

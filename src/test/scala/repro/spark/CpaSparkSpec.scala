@@ -5,7 +5,7 @@ import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.repro.ListenerBusAccess
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted, SparkListenerTaskEnd}
 import repro.SparkSpec
-import repro.core.{CpaConfig, CpaCore, CpaModel, CpaVi, LocalEngine}
+import repro.core.{CpaConfig, CpaCore, CpaModel, CpaVi, LocalEngine, TinyAnswers}
 import repro.crowd.{Answer, Datasets, Metrics}
 
 class CpaSparkSpec extends SparkSpec {
@@ -34,7 +34,7 @@ class CpaSparkSpec extends SparkSpec {
     val yhat = CpaCore.initYhat(ds.answers, ds.nItems, cand)
     CpaCore.updateGlobals(g, cfg, 1.0, localEngine.bootstrapLambda(g.T, g.M, g.C, kappa, phi), 1.0,
       Array.range(0, ds.nWorkers), kappa, 1.0, Array.range(0, ds.nItems), phi, cand(_), yhat(_), 1.0)
-    val d = CpaCore.derive(g, phi, yhat.map(_.sum), localEngine.meanAnswerSize)
+    val d = CpaCore.derive(g)
     val first = localEngine.computeStats(g.T, g.M, g.C, ds.nItems, kappa, phi, cand, yhat, d,
       Array.fill(g.M * g.C)(0.65), Array.fill(g.M * g.C)(0.08))
     val (sens, fp) = CpaCore.communityCoins(first, localEngine.meanAnswerSize)
@@ -56,22 +56,6 @@ class CpaSparkSpec extends SparkSpec {
       assert(onSpark.predictItem(i).sameElements(onDriver.predictItem(i)), s"item $i")
     }
     (onDriver, onSpark)
-  }
-
-  /** Each worker answers each item with probability 0.6, with a random
-    * non-empty label set; `silent` workers never answer.
-    */
-  private def tinyAnswers(nItems: Int, nWorkers: Int, nLabels: Int,
-      silent: Set[Int] = Set.empty): Seq[Answer] = {
-    val rng = new scala.util.Random(17)
-    for {
-      i <- 0 until nItems
-      u <- 0 until nWorkers
-      if !silent(u) && rng.nextDouble() < 0.6
-    } yield {
-      val ls = (0 until nLabels).filter(_ => rng.nextDouble() < 0.4)
-      Answer(i, u, (if (ls.isEmpty) Seq(rng.nextInt(nLabels)) else ls).toArray)
-    }
   }
 
   test("Spark engine converges in the same number of iterations as local") {
@@ -187,21 +171,21 @@ class CpaSparkSpec extends SparkSpec {
   }
 
   test("a worker with no answers keeps its initial κ row on Spark, as locally") {
-    val (onDriver, onSpark) = assertSparkFitsLikeLocal(tinyAnswers(12, 6, 5, silent = Set(2)), 12, 6, 5)
+    val (onDriver, onSpark) = assertSparkFitsLikeLocal(TinyAnswers(12, 6, 5, silent = Set(2)), 12, 6, 5)
     val initial = CpaCore.initKappa(6, onDriver.globals.M, cfg.seed)(2)
     assert(onDriver.kappa(2).sameElements(initial))
     assert(onSpark.kappa(2).sameElements(initial))
   }
 
   test("a Spark fit on a one-label vocabulary equals the local fit") {
-    val answers = tinyAnswers(10, 5, 1)
+    val answers = TinyAnswers(10, 5, 1)
     assert(answers.forall(_.labels.sameElements(Array(0))))
     assertSparkFitsLikeLocal(answers, 10, 5, 1)
   }
 
   test("a Spark fit with more clusters than items equals the local fit") {
     assert(cfg.T > 6)
-    assertSparkFitsLikeLocal(tinyAnswers(6, 8, 7), 6, 8, 7)
+    assertSparkFitsLikeLocal(TinyAnswers(6, 8, 7), 6, 8, 7)
   }
 
   test("on random small inputs a Spark fit equals the local fit") {
@@ -255,11 +239,10 @@ class CpaSparkSpec extends SparkSpec {
       assert(CpaCore.strictlyIncreasing(r.labels.toArray), r.toString))
   }
   test("AnswerData round-trips answers through a Dataset") {
-    val back = AnswerData.collect(AnswerData.toDs(spark, ds.answers))
-    assert(back.size == ds.answers.size)
-    val key = (a: Answer) => (a.item, a.worker)
-    val orig = ds.answers.map(a => key(a) -> a.labels.toSeq).toMap
-    back.foreach(a => assert(orig(key(a)) == a.labels.toSeq))
+    val back = AnswerData.toDs(spark, ds.answers).collect()
+    assert(back.length == ds.answers.size)
+    val orig = ds.answers.map(a => (a.item, a.worker) -> a.labels.toSeq).toMap
+    back.foreach(r => assert(orig((r.item, r.worker)) == r.labels))
   }
   test("SparkEngine candidate sets match the local candidate sets") {
     val localCand = repro.core.CpaCore.candidates(ds.answers, ds.nItems)
