@@ -12,8 +12,10 @@ package repro.core
   * @param zeta0    symmetric Dirichlet prior η for cluster label dists φ_t
   * @param maxIter  maximum VI iterations (paper: ≤ 10 reaches 98% accuracy;
   *                 we allow more and stop on `tol`)
-  * @param tol      convergence threshold on the mean absolute change of the
-  *                 item-cluster posteriors ϕ between iterations
+  * @param tol      VI convergence threshold: the fit stops once the mean
+  *                 absolute change of the item-cluster posteriors ϕ is below
+  *                 `tol` and that of the soft truth ŷ below 10·`tol`; under
+  *                 `noL` (ϕ fixed) once the mean change of ŷ is below `tol`
   * @param forgetRate SVI forgetting rate r; ω_b = (1+b)^{-r}; the paper finds
   *                 r ∈ [0.85, 0.9] works best
   * @param batchFraction SVI batch size as a fraction of all answers

@@ -89,7 +89,6 @@ object CpaCore {
     *                 contributes ln(sens_uc/fp_uc) if they voted c, or the
     *                 discounted omission ratio
     *                 OmissionDiscount·ln((1−sens_uc)/(1−fp_uc)) otherwise
-    * @param nAns     per item: number of answers (for evidence scaling)
     * @param tpMc/fpMc/posMassMc flat M*C arrays: κ-weighted per-community
     *                 *per-label* true/false positive vote mass and true-label
     *                 exposure mass against the current soft truth — the
@@ -106,7 +105,6 @@ object CpaCore {
       val lamStat: Array[Double],
       val aIt: Array[Double],
       val llr: Array[Array[Double]],
-      val nAns: Array[Double],
       val tpMc: Array[Double],
       val fpMc: Array[Double],
       val posMassMc: Array[Double],
@@ -123,7 +121,6 @@ object CpaCore {
         }
         i += 1
       }
-      addInto(nAns, o.nAns)
       addInto(tpMc, o.tpMc); addInto(fpMc, o.fpMc)
       addInto(posMassMc, o.posMassMc); addInto(negAdjMc, o.negAdjMc)
       addInto(ansMassM, o.ansMassM)
@@ -133,7 +130,7 @@ object CpaCore {
 
   def emptyStats(T: Int, M: Int, C: Int, I: Int): SuffStats =
     new SuffStats(new Array[Double](T * M * C), new Array[Double](I * T),
-      new Array[Array[Double]](I), new Array[Double](I),
+      new Array[Array[Double]](I),
       new Array[Double](M * C), new Array[Double](M * C),
       new Array[Double](M * C), new Array[Double](M * C), new Array[Double](M))
 
@@ -172,10 +169,19 @@ object CpaCore {
         s"$a: labels must be strictly increasing (sorted, distinct) within [0, $nLabels)")
     }
 
+  /** Starting community per-label two-coin rates, sensitivity and
+    * false-positive rate: a neutral-but-honest start that makes the first
+    * step behave like plain (unweighted) voting, like the EM baselines' init.
+    * [[communityCoins]] smooths its estimates towards them.
+    */
+  val SensStart: Double = 0.65
+  val FpStart: Double = 0.08
+
   /** Re-estimate each community's per-label two-coin rates from the
-    * accumulated vote statistics. Smoothing priors keep iteration 1 close to
-    * plain voting; sharing the statistic at community (not worker) level is
-    * what keeps the estimates usable under data sparsity (R1).
+    * accumulated vote statistics. Smoothing priors at the starting rates
+    * keep iteration 1 close to plain voting; sharing the statistic at
+    * community (not worker) level is what keeps the estimates usable under
+    * data sparsity (R1).
     * Returns flat M*C arrays (sens, fp).
     */
   def communityCoins(st: SuffStats, meanAnswerSize: Double): (Array[Double], Array[Double]) = {
@@ -192,8 +198,8 @@ object CpaCore {
     var i = 0
     while (i < n) {
       val negMass = math.max(0.0, st.ansMassM(i / C) - st.negAdjMc(i))
-      sens(i) = math.min(0.97, math.max(0.05, (0.65 * 2.0 + st.tpMc(i)) / (2.0 + st.posMassMc(i))))
-      fp(i) = math.min(0.60, math.max(fpFloor, (0.08 * 2.0 + st.fpMc(i)) / (2.0 + negMass)))
+      sens(i) = math.min(0.97, math.max(0.05, (SensStart * 2.0 + st.tpMc(i)) / (2.0 + st.posMassMc(i))))
+      fp(i) = math.min(0.60, math.max(fpFloor, (FpStart * 2.0 + st.fpMc(i)) / (2.0 + negMass)))
       i += 1
     }
     (sens, fp)
@@ -256,18 +262,6 @@ object CpaCore {
     }
   }
 
-  /** Starting local responsibilities (ϕ, κ) under the ablations: with `noL`
-    * every item is its own cluster (ϕ_i one-hot at i), with `noZ` every
-    * worker its own community (κ_u one-hot at u). Otherwise ϕ is `phi0` and
-    * κ is [[initKappa]].
-    */
-  def initLocals(cfg: CpaConfig, g: Globals, nItems: Int, nWorkers: Int)(
-      phi0: => Array[Array[Double]]): (Array[Array[Double]], Array[Array[Double]]) = {
-    def oneHot(n: Int, k: Int) = Array.tabulate(n)(i => Array.tabulate(k)(j => if (j == i) 1.0 else 0.0))
-    (if (cfg.noL) oneHot(nItems, g.T) else phi0,
-      if (cfg.noZ) oneHot(nWorkers, g.M) else initKappa(nWorkers, g.M, cfg.seed))
-  }
-
   /** Candidate label set per item = labels voted by at least one worker. */
   def candidates(answers: IterableOnce[Answer], nItems: Int): Array[Array[Int]] = {
     val sets = Array.fill(nItems)(mutable.SortedSet.empty[Int])
@@ -285,14 +279,22 @@ object CpaCore {
   def sharpenedShare(votes: Double, nAns: Double): Double =
     1.0 / (1.0 + math.exp(-8.0 * (votes / nAns - 0.5)))
 
+  /** Number of answers per item. */
+  def answerCounts(answers: Seq[Answer], nItems: Int): Array[Double] = {
+    val n = new Array[Double](nItems)
+    answers.foreach(a => n(a.item) += 1.0)
+    n
+  }
+
+  /** Mean number of labels per answer, 1 without answers (anchors n̄ and the fp floor). */
+  def meanAnswerSize(answers: Seq[Answer]): Double =
+    if (answers.isEmpty) 1.0 else answers.iterator.map(_.labels.length).sum.toDouble / answers.size
+
   /** Initial soft truth estimate: [[sharpenedShare]] of every candidate. */
   def initYhat(answers: Seq[Answer], nItems: Int, cand: Array[Array[Int]]): Array[Array[Double]] = {
     val votes = Array.fill(nItems)(mutable.Map.empty[Int, Int])
-    val nAns = new Array[Int](nItems)
-    answers.foreach { a =>
-      nAns(a.item) += 1
-      a.labels.foreach(c => votes(a.item).update(c, votes(a.item).getOrElse(c, 0) + 1))
-    }
+    answers.foreach(a => a.labels.foreach(c => votes(a.item).update(c, votes(a.item).getOrElse(c, 0) + 1)))
+    val nAns = answerCounts(answers, nItems)
     Array.tabulate(nItems) { i =>
       cand(i).map(c => if (nAns(i) == 0) 0.0 else sharpenedShare(votes(i).getOrElse(c, 0).toDouble, nAns(i)))
     }
@@ -513,7 +515,6 @@ object CpaCore {
     // universe is the candidate set, not the whole vocabulary: measuring fp
     // against all C labels would make every vote near-infinite evidence for
     // large vocabularies.
-    st.nAns(a.item) += 1.0
     var llrRow = st.llr(a.item)
     if (llrRow == null) { llrRow = new Array[Double](cand.length); st.llr(a.item) = llrRow }
     var j = 0
@@ -667,10 +668,17 @@ object CpaCore {
     delta
   }
 
-  /** x ← (1−ω)·x + ω·target, in place. */
-  def blend(x: Array[Double], target: Array[Double], omega: Double): Unit = {
+  /** x ← (1−ω)·x + ω·target, in place; returns Σ |Δx|. At ω = 1 it writes
+    * the target exactly.
+    */
+  def blend(x: Array[Double], target: Array[Double], omega: Double): Double = {
+    var delta = 0.0
     var i = 0
-    while (i < x.length) { x(i) = (1 - omega) * x(i) + omega * target(i); i += 1 }
+    while (i < x.length) {
+      val v = (1 - omega) * x(i) + omega * target(i)
+      delta += math.abs(v - x(i)); x(i) = v; i += 1
+    }
+    delta
   }
 
   /** Global updates (Eq 4-7 / Eq 18-19) as one natural-gradient step

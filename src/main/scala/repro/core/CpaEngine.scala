@@ -53,9 +53,7 @@ trait CpaEngine {
 final class LocalEngine(answers: Seq[repro.crowd.Answer]) extends CpaEngine {
   override def nAnswers: Long = answers.size.toLong
 
-  override val meanAnswerSize: Double =
-    if (answers.isEmpty) 1.0
-    else answers.iterator.map(_.labels.length).sum.toDouble / answers.size
+  override val meanAnswerSize: Double = CpaCore.meanAnswerSize(answers)
 
   override def candidates(nItems: Int): Array[Array[Int]] =
     CpaCore.candidates(answers, nItems)

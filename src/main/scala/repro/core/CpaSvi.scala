@@ -7,15 +7,15 @@ import scala.reflect.ClassTag
 /** Algorithm 2 — stochastic variational inference for the CPA model
   * (online / incremental learning, §4.1).
   *
-  * Answers arrive as batches; each batch triggers one natural-gradient step
-  * on the global parameters with learning rate ω_b = (1+b)^{-r} (Eq 18-20).
-  * A batch runs the same step pieces as one [[CpaVi]] iteration on its own
-  * answers: [[CpaCore.derive]], the κ and statistics passes of a
-  * [[LocalEngine]] over the batch, [[CpaCore.phiRow]] and the truth step
-  * [[CpaCore.truthStep]] on the batch items, and [[CpaCore.updateGlobals]].
-  * Unlike VI, the truth layer's vote statistics are cumulative over batches.
-  * Per the paper, only the most recent parameter values are kept — the model
-  * is never re-inferred from the full answer set, which is what makes the
+  * Answers arrive as batches; each batch runs one [[CpaState.step]], the
+  * step of a [[CpaVi]] iteration, over a [[LocalEngine]] of the batch with
+  * learning rate ω_b = (1+b)^{-r} (Eq 18-20): κ, ϕ and ŷ of the batch first,
+  * then the natural-gradient global step from those updated locals (the
+  * local-then-global order of Hoffman et al., 2013, Alg. 1). Unlike VI, the
+  * truth layer's vote statistics are cumulative over batches: the step reads
+  * the llr rows after the batch's votes are merged in. Per the paper, only
+  * the most recent parameter values are kept — the model is never
+  * re-inferred from the full answer set, which is what makes the
   * accumulated runtime O(T1/B + T2) per batch instead of O(T1 + T2) per
   * epoch (§4.3).
   *
@@ -24,10 +24,10 @@ import scala.reflect.ClassTag
   * G0 and batch sufficient statistic S_b is applied in its standard
   * equivalent form G ← (1−ω_b)·G + ω_b·(G0 + scale·S_b) (Hoffman et al.,
   * 2013, eq. 2.6) — identical to Eq 18-19 with the U/U_b scaling; the
-  * unknown corpus size is estimated by the answers seen so far. Batch VI
-  * ([[CpaVi]]) is the ω = 1, scale = 1 case of the same step; both run it
-  * through [[CpaCore.updateGlobals]]. The item responsibilities ϕ are mixed
-  * in mean parameterisation rather than the canonical µ parameterisation of
+  * unknown corpus size is estimated by the answers, items and workers seen
+  * so far. Batch VI is the ω = 1, scale = 1 case of the same step. The item
+  * responsibilities ϕ and the community coins are mixed in mean
+  * parameterisation rather than the canonical µ parameterisation of
   * Eq 15-17 (same fixed points, simpler state).
   */
 final class CpaSvi(
@@ -36,34 +36,23 @@ final class CpaSvi(
     val nWorkers: Int,
     val nLabels: Int) {
 
-  private val g = CpaCore.initGlobals(cfg, nItems, nWorkers, nLabels)
-  val T: Int = g.T
-  val M: Int = g.M
-
-  // No answers have arrived yet: ϕ starts near-uniform.
-  private val (phi, kappa0) = CpaCore.initLocals(cfg, g, nItems, nWorkers) {
-    val rng = new scala.util.Random(cfg.seed)
-    Array.fill(nItems)(repro.util.MathFn.normalise(Array.fill(T)(1.0 + 0.05 * rng.nextDouble())))
-  }
-  private var kappa = kappa0
-
   // Per-item candidate rows: cands(i) holds the labels voted for item i so
   // far, sorted and distinct; votes(i) (vote counts), yh(i) (soft truth ŷ)
-  // and llr(i) are aligned with it slot for slot, and ySize(i) = Σ_j
-  // yh(i)(j). A newly voted label is inserted into all four rows at its sorted
-  // position, so a batch reads and writes only the rows of its own items.
+  // and llr(i) (cumulative vote log-likelihood ratios, null until the item's
+  // first answer) are aligned with it slot for slot. A newly voted label is
+  // inserted into all four rows at its sorted position, so a batch reads and
+  // writes only the rows of its own items. nAns counts each item's answers.
   private val cands = Array.fill(nItems)(Array.emptyIntArray)
   private val votes = Array.fill(nItems)(Array.emptyIntArray)
   private val yh = Array.fill(nItems)(Array.emptyDoubleArray)
-  private val ySize = new Array[Double](nItems)
-  // Cumulative truth-layer statistics: per-item vote log-likelihood ratios
-  // (llr rows, aligned with cands; null until the item's first answer) and
-  // answer counts (nAns).
-  private val llr = new Array[Array[Double]](nItems)
   private val nAns = new Array[Double](nItems)
 
-  private val sensMc = Array.fill(M * nLabels)(0.65)
-  private val fpMc = Array.fill(M * nLabels)(0.08)
+  // No answers have arrived yet: ϕ starts near-uniform.
+  private val state = new CpaState(cfg, nItems, nWorkers, nLabels, cands, yh, nAns)({ T =>
+    val rng = new scala.util.Random(cfg.seed)
+    Array.fill(nItems)(repro.util.MathFn.normalise(Array.fill(T)(1.0 + 0.05 * rng.nextDouble())))
+  })
+  private val llr = state.llr
 
   private var batchIndex = 0
   private var answersSeen = 0L
@@ -128,49 +117,24 @@ final class CpaSvi(
         if (y(j).isNaN) y(j) = CpaCore.sharpenedShare(votes(i)(j), nAns(i))
         j += 1
       }
-      ySize(i) = y.sum
+      state.ySize(i) = y.sum
     }
 
-    // --- Derived expectations, the truth layer (φ̂ and n̄ from before the
-    // global update), κ (Eq 2) and statistics on batch data. ---
-    val d = CpaCore.derive(g)
-    val truth = CpaCore.truthLayer(g, phi, ySize, meanAnswerSize, llr, nAns)
-    val engine = new LocalEngine(batch)
-    if (!cfg.noZ) kappa = engine.computeKappa(kappa, phi, d)
-    val st = engine.computeStats(T, M, nLabels, nItems, kappa, phi, cands, yh, d, sensMc, fpMc)
-
-    // --- Natural-gradient global updates (Eq 18-19), corpus size estimated
-    // by the answers, items and workers seen so far. ---
-    CpaCore.updateGlobals(g, cfg, omega,
-      st.lamStat, math.max(1.0, answersSeen.toDouble / batch.size),
-      batchWorkers, kappa, math.max(1.0, nWorkers.toDouble / batchWorkers.length),
-      batchItems, phi, cands(_), yh(_), math.max(1.0, itemsSeen.toDouble / batchItems.length))
-
-    // --- ϕ and ŷ for batch items (mean-parameter mixing, Eq 15-17). ---
-    // Merge batch vote statistics into the cumulative truth-layer state first.
-    batchItems.foreach(it => CpaCore.addInto(llr(it), st.llr(it)))
-    if (!cfg.noL) batchItems.foreach { it =>
-      CpaCore.blend(phi(it), CpaCore.phiRow(it, st.aIt, cands(it), yh(it), d), omega)
+    // --- One step over the batch; the global statistics are scaled up to
+    // the corpus size estimated by the answers, workers and items seen. ---
+    state.step(new LocalEngine(batch), omega, meanAnswerSize, batchItems, batchItems, batchWorkers,
+      math.max(1.0, answersSeen.toDouble / batch.size),
+      math.max(1.0, nWorkers.toDouble / batchWorkers.length),
+      math.max(1.0, itemsSeen.toDouble / batchItems.length)) { st =>
+      batchItems.foreach(i => CpaCore.addInto(llr(i), st.llr(i)))
+      llr
     }
-    CpaCore.truthStep(batchItems, cands, yh, phi, truth)
-    batchItems.foreach(it => ySize(it) = yh(it).sum)
-
-    // --- Community coin re-estimation (blended). ---
-    val (sens, fp) = CpaCore.communityCoins(st, meanAnswerSize)
-    CpaCore.blend(sensMc, sens, omega)
-    CpaCore.blend(fpMc, fp, omega)
   }
 
-  /** Snapshot the current state as a [[CpaModel]] for (online) prediction.
-    * The candidate rows, ŷ and truth statistics are copied (an unseen item's
-    * llr row stays null), so later batches leave the snapshot as is.
+  /** Snapshot the current state as a [[CpaModel]] for (online) prediction;
+    * later batches leave the snapshot as is.
     */
-  def toModel: CpaModel = {
-    val truth = CpaCore.truthLayer(g, phi, ySize, meanAnswerSize,
-      llr.map(row => if (row == null) null else row.clone()), nAns.clone())
-    new CpaModel(cfg, nItems, nWorkers, nLabels, g, kappa, phi,
-      cands.map(_.clone()), yh.map(_.clone()), truth, sensMc, fpMc, batchIndex)
-  }
+  def toModel: CpaModel = state.toModel(batchIndex, meanAnswerSize)
 }
 
 object CpaSvi {

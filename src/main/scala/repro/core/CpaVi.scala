@@ -85,14 +85,14 @@ object CpaVi {
       knownY: Map[Int, Array[Int]] = Map.empty): CpaModel =
     fitEngine(new LocalEngine(answers), answers, nItems, nWorkers, nLabels, cfg, knownY)
 
-  /** Fit CPA with an explicit engine. `initAnswers` is only used for the
-    * initialisation heuristics (informative ϕ init, initial ŷ); engines that
-    * cannot cheaply materialise answers locally may pass a sample. Every
-    * answer's item and worker ids must lie within [0, nItems) and
-    * [0, nWorkers), and its labels must be strictly increasing within
-    * [0, nLabels). `knownY` pins the soft truth ŷ of the given items to
-    * their observed labels (Eq 7 with y); [[CpaModel.predictItem]] does not
-    * read ŷ, so a known item's predicted set still comes from its votes.
+  /** Fit CPA with an explicit engine. `initAnswers` is the engine's answer
+    * set, read on the driver for the initialisation heuristics (informative
+    * ϕ init, initial ŷ) and the per-item answer counts. Every answer's item
+    * and worker ids must lie within [0, nItems) and [0, nWorkers), and its
+    * labels must be strictly increasing within [0, nLabels). `knownY` pins
+    * the soft truth ŷ of the given items to their observed labels (Eq 7 with
+    * y); [[CpaModel.predictItem]] does not read ŷ, so a known item's
+    * predicted set still comes from its votes.
     */
   def fitEngine(engine: CpaEngine, initAnswers: Seq[Answer],
       nItems: Int, nWorkers: Int, nLabels: Int,
@@ -101,95 +101,40 @@ object CpaVi {
     require(cfg.maxIter >= 1, "at least one VI iteration is required")
     CpaCore.requireValidIds(initAnswers, nItems, nWorkers)
     CpaCore.requireValidLabels(initAnswers, nLabels)
-    val g = CpaCore.initGlobals(cfg, nItems, nWorkers, nLabels)
-    val T = g.T
-    val M = g.M
-
-    var (phi, kappa) = CpaCore.initLocals(cfg, g, nItems, nWorkers)(
-      CpaCore.initPhi(initAnswers, nItems, T, cfg.seed))
-
     val cand = engine.candidates(nItems)
     val yhat = CpaCore.initYhat(initAnswers, nItems, cand)
     // Observed true labels override the soft estimate permanently (Eq 7 with y).
-    knownY.foreach { case (i, ys) =>
-      val s = ys.toSet
-      var j = 0
-      while (j < cand(i).length) { yhat(i)(j) = if (s(cand(i)(j))) 1.0 else 0.0; j += 1 }
-    }
+    knownY.foreach { case (i, ys) => yhat(i) = cand(i).map(c => if (ys.contains(c)) 1.0 else 0.0) }
+    val s = new CpaState(cfg, nItems, nWorkers, nLabels, cand, yhat,
+      CpaCore.answerCounts(initAnswers, nItems))(CpaCore.initPhi(initAnswers, nItems, _, cfg.seed))
     val meanAnswerSize = engine.meanAnswerSize
-
-    // Community per-label two-coin rates; neutral-but-honest start makes
-    // iteration 1 behave like plain (unweighted) voting, like the EM
-    // baselines' init.
-    var sensMc = Array.fill(M * nLabels)(0.65)
-    var fpMc = Array.fill(M * nLabels)(0.08)
 
     // Batch VI is the ω = 1 step with unit scales over all workers and items.
     val allWorkers = Array.range(0, nWorkers)
     val allItems = Array.range(0, nItems)
-    def updateGlobals(lamStat: Array[Double]): Unit =
-      CpaCore.updateGlobals(g, cfg, 1.0, lamStat, 1.0, allWorkers, kappa, 1.0,
-        allItems, phi, cand(_), yhat(_), 1.0)
 
     // --- Bootstrap the globals from the informative initialisation. ---
     // Without this, the first ϕ update sees only the stick prior E[ln τ_t]
     // (monotonically decreasing in t) and collapses all items into the first
     // few clusters before any data has spoken.
-    updateGlobals(engine.bootstrapLambda(T, M, nLabels, kappa, phi))
+    CpaCore.updateGlobals(s.g, cfg, 1.0, engine.bootstrapLambda(s.g.T, s.g.M, nLabels, s.kappa, s.phi),
+      1.0, allWorkers, s.kappa, 1.0, allItems, s.phi, cand(_), yhat(_), 1.0)
 
     val nCandTotal = cand.iterator.map(_.length).sum
-    val freeItems = allItems.filterNot(knownY.contains)
-    var st: CpaCore.SuffStats = null
+    val freeItems = allItems.filterNot(knownY.contains) // observed items keep their ŷ
     var iter = 0
     var converged = false
     while (iter < cfg.maxIter && !converged) {
-      // --- Derived expectations from current globals. ---
-      val d = CpaCore.derive(g)
-
-      // --- MAP phase 1: worker communities (Eq 2). ---
-      if (!cfg.noZ) kappa = engine.computeKappa(kappa, phi, d)
-
-      // --- MAP phase 2 + REDUCE: per-answer sufficient statistics. ---
-      st = engine.computeStats(T, M, nLabels, nItems, kappa, phi, cand, yhat, d,
-        sensMc, fpMc)
-      // The truth layer at the ϕ and ŷ the statistics pass read.
-      val truth = CpaCore.truthLayer(g, phi, yhat.map(_.sum), meanAnswerSize, st.llr, st.nAns)
-      // Re-estimated community reliability for the next iteration's weighting.
-      val coins = CpaCore.communityCoins(st, meanAnswerSize)
-      sensMc = coins._1; fpMc = coins._2
-
-      // --- Local update: item clusters (Eq 3 + answer term). ---
-      var delta = 0.0
-      if (!cfg.noL) {
-        val newPhi = Array.tabulate(nItems)(i => CpaCore.phiRow(i, st.aIt, cand(i), yhat(i), d))
-        var i = 0
-        while (i < nItems) {
-          var t = 0
-          while (t < T) { delta += math.abs(newPhi(i)(t) - phi(i)(t)); t += 1 }
-          i += 1
-        }
-        delta /= (nItems.toDouble * T)
-        phi = newPhi
-      } else {
-        delta = Double.MaxValue // convergence then tracked via ŷ below
-      }
-
-      // --- Latent truth re-estimation (skipping observed items). ---
-      val yDeltaMean = CpaCore.truthStep(freeItems, cand, yhat, phi, truth) / math.max(1, nCandTotal)
-      if (cfg.noL) delta = yDeltaMean
-
-      // --- Global updates (Eq 4-7). ---
-      updateGlobals(st.lamStat)
-
+      // The truth layer reads this pass's vote rows.
+      val (dPhi, dY) = s.step(engine, 1.0, meanAnswerSize, allItems, freeItems, allWorkers,
+        1.0, 1.0, 1.0)(_.llr)
       iter += 1
-      // Converge only once both the clustering and the truth estimate settle.
-      if (delta < cfg.tol && yDeltaMean < 10 * cfg.tol) converged = true
+      // Converge only once both the clustering and the truth estimate settle;
+      // under noL ϕ never moves and ŷ alone decides.
+      val yMove = dY / math.max(1, nCandTotal)
+      val phiMove = if (cfg.noL) yMove else dPhi / (nItems.toDouble * s.g.T)
+      converged = phiMove < cfg.tol && yMove < 10 * cfg.tol
     }
-
-    // Final truth layer for prediction (reflecting the last global update).
-    val truth = CpaCore.truthLayer(g, phi, yhat.map(_.sum), meanAnswerSize, st.llr, st.nAns)
-
-    new CpaModel(cfg, nItems, nWorkers, nLabels, g, kappa, phi, cand, yhat, truth,
-      sensMc, fpMc, iter)
+    s.toModel(iter, meanAnswerSize)
   }
 }

@@ -132,10 +132,7 @@ object CpaSpark {
     val clean = answers.map(AnswerData.normalise)
     val ds = AnswerData.toDs(spark, clean).cache()
     try {
-      val meanSize =
-        if (clean.isEmpty) 1.0
-        else clean.iterator.map(_.labels.length).sum.toDouble / clean.size
-      val engine = new SparkEngine(spark, ds, clean.size.toLong, meanSize)
+      val engine = new SparkEngine(spark, ds, clean.size.toLong, CpaCore.meanAnswerSize(clean))
       CpaVi.fitEngine(engine, clean, nItems, nWorkers, nLabels, cfg)
     } finally ds.unpersist()
   }

@@ -100,10 +100,12 @@ class CpaCoreSpec extends AnyFunSuite {
     (cfg, g, phi, kappa, cand, yhat, d)
   }
 
-  /** The truth layer of the fresh state over the vote statistics of `st`. */
+  /** The truth layer of the fresh state over the vote statistics of `st`
+    * and the answer counts of all answers.
+    */
   private def truthOf(g: Globals, phi: Array[Array[Double]], yhat: Array[Array[Double]],
       st: SuffStats, meanAnswerSize: Double = 1.5): TruthLayer =
-    truthLayer(g, phi, yhat.map(_.sum), meanAnswerSize, st.llr, st.nAns)
+    truthLayer(g, phi, yhat.map(_.sum), meanAnswerSize, st.llr, answerCounts(answers, I))
 
   test("derive produces finite expectations and cluster label distributions") {
     val (_, g, phi, _, _, yhat, d) = freshState()
@@ -147,13 +149,8 @@ class CpaCoreSpec extends AnyFunSuite {
     }
   }
 
-  test("accumulate records one answer per item in nAns") {
-    val (_, _, phi, kappa, cand, yhat, d) = freshState()
-    val st = emptyStats(4, 2, C, I)
-    val sens = Array.fill(2 * C)(0.65); val fp = Array.fill(2 * C)(0.08)
-    answers.foreach(a =>
-      accumulate(st, a, kappa(a.worker), phi(a.item), d.dlam, cand(a.item), yhat(a.item), sens, fp))
-    assert(st.nAns(0) == 2.0 && st.nAns(1) == 2.0 && st.nAns(2) == 2.0)
+  test("answerCounts records one answer per item") {
+    assert(answerCounts(answers, I).sameElements(Array(2.0, 2.0, 2.0)))
   }
 
   test("accumulate llr entries cover exactly the candidate labels of answered items") {
@@ -266,8 +263,7 @@ class CpaCoreSpec extends AnyFunSuite {
         (if (!answered) whole.llr(i) == null && merged.llr(i) == null
         else whole.llr(i).length == cand(i).length &&
           cand(i).indices.forall(j =>
-            close(merged.llr(i)(j), whole.llr(i)(j)) && close(whole.llr(i)(j), naive((i, cand(i)(j)))))) &&
-          close(merged.nAns(i), whole.nAns(i))
+            close(merged.llr(i)(j), whole.llr(i)(j)) && close(whole.llr(i)(j), naive((i, cand(i)(j))))))
       } && whole.lamStat.indices.forall(k => close(merged.lamStat(k), whole.lamStat(k))) &&
         whole.aIt.indices.forall(k => close(merged.aIt(k), whole.aIt(k))) &&
         whole.tpMc.indices.forall(k => close(merged.tpMc(k), whole.tpMc(k)) &&

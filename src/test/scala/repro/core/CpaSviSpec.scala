@@ -50,6 +50,39 @@ class CpaSviSpec extends AnyFunSuite {
     // (intermediate results improve as answers arrive, §4.1).
     assert(f1s.last > f1s.head, s"f1 trajectory: $f1s")
   }
+  test("a snapshot's phi, globals and clusterOf are unchanged by later batches") {
+    val svi = new CpaSvi(CpaConfig(), ds.nItems, ds.nWorkers, ds.nLabels)
+    val batches = ds.answers.grouped(ds.answers.size / 10 + 1).toSeq
+    svi.processBatch(batches.head)
+    val snapshot = svi.toModel
+    def state(m: CpaModel) = {
+      val g = m.globals
+      (m.phi.map(_.toSeq).toSeq, g.zeta.map(_.toSeq).toSeq, g.lambda.map(_.map(_.toSeq).toSeq).toSeq,
+        Seq(g.rho1, g.rho2, g.ups1, g.ups2, m.sensMc, m.fpMc).map(_.toSeq),
+        (0 until m.nItems).map(m.clusterOf))
+    }
+    val before = state(snapshot)
+    batches.tail.foreach(svi.processBatch)
+    assert(svi.batchesProcessed == batches.size && batches.size > 1)
+    assert(state(snapshot) == before)
+  }
+  test("an SVI batch updates the globals from the batch's updated phi and yhat") {
+    val cfg = CpaConfig()
+    val batch = small.answers.take(small.answers.size / 10)
+    val svi = new CpaSvi(cfg, small.nItems, small.nWorkers, small.nLabels)
+    svi.processBatch(batch)
+    val m = svi.toModel
+    // After the first batch every item seen is a batch item, so the item
+    // scale is 1 and ζ = ζ0 + ω_1·Σ_{i in batch} ϕ_it·ŷ_ic.
+    val omega = math.pow(2.0, -cfg.forgetRate)
+    val zeta = Array.fill(m.globals.T, small.nLabels)(cfg.zeta0)
+    batch.map(_.item).distinct.foreach { i =>
+      for (t <- 0 until m.globals.T; j <- m.cand(i).indices)
+        zeta(t)(m.cand(i)(j)) += omega * m.phi(i)(t) * m.yhat(i)(j)
+    }
+    for (t <- 0 until m.globals.T; c <- 0 until small.nLabels)
+      assert(math.abs(m.globals.zeta(t)(c) - zeta(t)(c)) < 1e-9, s"zeta($t)($c)")
+  }
   test("incremental state accumulates answers across batches") {
     val svi = new CpaSvi(CpaConfig(), ds.nItems, ds.nWorkers, ds.nLabels)
     val (b1, b2) = ds.answers.splitAt(ds.answers.size / 2)

@@ -23,6 +23,10 @@ class CpaViSpec extends AnyFunSuite {
   test("community responsibilities stay normalised after convergence") {
     model.kappa.foreach(row => assert(math.abs(row.sum - 1.0) < 1e-6))
   }
+  test("the truth layer holds each item's answer count") {
+    val counts = ds.answers.groupBy(_.item).map { case (i, as) => i -> as.size }
+    (0 until ds.nItems).foreach(i => assert(model.lastStats.nAns(i) == counts.getOrElse(i, 0), s"nAns($i)"))
+  }
   test("soft truth estimates are probabilities") {
     model.yhat.foreach(_.foreach(v => assert(v >= 0 && v <= 1)))
   }
