@@ -1,6 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.crowd.Answer
 
@@ -36,7 +36,7 @@ object MajorityVote {
     * where labels is the sorted majority label set (items whose every label
     * falls at or below the 0.5 ratio still appear, with an empty array).
     */
-  def aggregateDf(spark: SparkSession, answers: DataFrame): DataFrame = {
+  def aggregateDf(answers: DataFrame): DataFrame = {
     val perItem = answers.groupBy("item").agg(count(lit(1)).as("n_answers"))
     val votes = answers
       .select(col("item"), explode(col("labels")).as("label"))

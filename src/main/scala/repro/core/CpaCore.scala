@@ -224,26 +224,23 @@ object CpaCore {
       lambda, zeta)
   }
 
-  /** Informative initialisation of the item-cluster responsibilities: items
-    * whose answers share a dominant label start in the same cluster (the VI
-    * refines this). Returns an I×T matrix of normalised responsibilities.
+  /** Informative initialisation of the item-cluster responsibilities from
+    * registered candidate rows and their aligned vote counts: items sharing a
+    * top label (most votes, the smallest on ties; label i without votes)
+    * start in the same cluster (the VI refines this). Returns an I×T matrix.
     */
-  def initPhi(answers: Seq[Answer], nItems: Int, T: Int, seed: Long): Array[Array[Double]] = {
-    val topLabel = new Array[Int](nItems)
-    val counts = mutable.Map.empty[Int, mutable.Map[Int, Int]]
-    answers.foreach { a =>
-      val m = counts.getOrElseUpdate(a.item, mutable.Map.empty)
-      a.labels.foreach(c => m.update(c, m.getOrElse(c, 0) + 1))
-    }
-    var i = 0
-    while (i < nItems) {
-      topLabel(i) = counts.get(i).map(_.maxBy { case (c, n) => (n, -c) }._1).getOrElse(i)
-      i += 1
-    }
+  def initPhi(cand: Array[Array[Int]], votes: Array[Array[Int]], T: Int, seed: Long): Array[Array[Double]] = {
     val rng = new scala.util.Random(seed)
-    Array.tabulate(nItems) { it =>
+    Array.tabulate(cand.length) { i =>
+      var top = i
+      var most = 0
+      var j = 0
+      while (j < cand(i).length) {
+        if (votes(i)(j) > most) { most = votes(i)(j); top = cand(i)(j) }
+        j += 1
+      }
       val row = Array.fill(T)(0.05 / T + 1e-4 * rng.nextDouble())
-      row(math.floorMod(topLabel(it), T)) += 0.95
+      row(math.floorMod(top, T)) += 0.95
       normalise(row)
     }
   }
@@ -279,26 +276,9 @@ object CpaCore {
   def sharpenedShare(votes: Double, nAns: Double): Double =
     1.0 / (1.0 + math.exp(-8.0 * (votes / nAns - 0.5)))
 
-  /** Number of answers per item. */
-  def answerCounts(answers: Seq[Answer], nItems: Int): Array[Double] = {
-    val n = new Array[Double](nItems)
-    answers.foreach(a => n(a.item) += 1.0)
-    n
-  }
-
   /** Mean number of labels per answer, 1 without answers (anchors n̄ and the fp floor). */
   def meanAnswerSize(answers: Seq[Answer]): Double =
     if (answers.isEmpty) 1.0 else answers.iterator.map(_.labels.length).sum.toDouble / answers.size
-
-  /** Initial soft truth estimate: [[sharpenedShare]] of every candidate. */
-  def initYhat(answers: Seq[Answer], nItems: Int, cand: Array[Array[Int]]): Array[Array[Double]] = {
-    val votes = Array.fill(nItems)(mutable.Map.empty[Int, Int])
-    answers.foreach(a => a.labels.foreach(c => votes(a.item).update(c, votes(a.item).getOrElse(c, 0) + 1)))
-    val nAns = answerCounts(answers, nItems)
-    Array.tabulate(nItems) { i =>
-      cand(i).map(c => if (nAns(i) == 0) 0.0 else sharpenedShare(votes(i).getOrElse(c, 0).toDouble, nAns(i)))
-    }
-  }
 
   // ---------------------------------------------------------------------
   // Expectations derived from the globals (once per iteration)

@@ -9,10 +9,11 @@ package repro.core
   */
 trait CpaEngine {
 
-  /** Number of answers (worker-item pairs with non-empty label sets). */
+  /** Number of answers and mean number of labels per answer. No fit reads
+    * them ([[CpaState]] counts what it registers); they stay for the
+    * benchmark harness (`perfbench/`), which implements and checks both.
+    */
   def nAnswers: Long
-
-  /** Mean number of labels per answer (anchors n̄ and the fp floor). */
   def meanAnswerSize: Double
 
   /** Candidate labels per item (labels voted by at least one worker). */
@@ -53,7 +54,7 @@ trait CpaEngine {
 final class LocalEngine(answers: Seq[repro.crowd.Answer]) extends CpaEngine {
   override def nAnswers: Long = answers.size.toLong
 
-  override val meanAnswerSize: Double = CpaCore.meanAnswerSize(answers)
+  override def meanAnswerSize: Double = CpaCore.meanAnswerSize(answers)
 
   override def candidates(nItems: Int): Array[Array[Int]] =
     CpaCore.candidates(answers, nItems)

@@ -86,13 +86,15 @@ object CpaVi {
     fitEngine(new LocalEngine(answers), answers, nItems, nWorkers, nLabels, cfg, knownY)
 
   /** Fit CPA with an explicit engine. `initAnswers` is the engine's answer
-    * set, read on the driver for the initialisation heuristics (informative
-    * ϕ init, initial ŷ) and the per-item answer counts. Every answer's item
-    * and worker ids must lie within [0, nItems) and [0, nWorkers), and its
-    * labels must be strictly increasing within [0, nLabels). `knownY` pins
-    * the soft truth ŷ of the given items to their observed labels (Eq 7 with
-    * y); [[CpaModel.predictItem]] does not read ŷ, so a known item's
-    * predicted set still comes from its votes.
+    * set, registered once on the driver into a [[CpaState]] built from the
+    * engine's candidates: it gives the vote counts behind the informative ϕ
+    * start and the starting ŷ, the per-item answer counts and the mean
+    * answer size. Every answer's item and worker ids must lie within
+    * [0, nItems) and [0, nWorkers), and its labels must be strictly
+    * increasing within [0, nLabels). `knownY` pins the soft truth ŷ of the
+    * given items to their observed labels (Eq 7 with y);
+    * [[CpaModel.predictItem]] does not read ŷ, so a known item's predicted
+    * set still comes from its votes.
     */
   def fitEngine(engine: CpaEngine, initAnswers: Seq[Answer],
       nItems: Int, nWorkers: Int, nLabels: Int,
@@ -101,13 +103,11 @@ object CpaVi {
     require(cfg.maxIter >= 1, "at least one VI iteration is required")
     CpaCore.requireValidIds(initAnswers, nItems, nWorkers)
     CpaCore.requireValidLabels(initAnswers, nLabels)
-    val cand = engine.candidates(nItems)
-    val yhat = CpaCore.initYhat(initAnswers, nItems, cand)
+    // The candidates hold every label of `initAnswers`: registering inserts nothing.
+    val s = new CpaState(cfg, nItems, nWorkers, nLabels, engine.candidates(nItems), initAnswers)(
+      CpaCore.initPhi(_, _, _, cfg.seed))
     // Observed true labels override the soft estimate permanently (Eq 7 with y).
-    knownY.foreach { case (i, ys) => yhat(i) = cand(i).map(c => if (ys.contains(c)) 1.0 else 0.0) }
-    val s = new CpaState(cfg, nItems, nWorkers, nLabels, cand, yhat,
-      CpaCore.answerCounts(initAnswers, nItems))(CpaCore.initPhi(initAnswers, nItems, _, cfg.seed))
-    val meanAnswerSize = engine.meanAnswerSize
+    knownY.foreach { case (i, ys) => s.pinTruth(i, ys) }
 
     // Batch VI is the ω = 1 step with unit scales over all workers and items.
     val allWorkers = Array.range(0, nWorkers)
@@ -118,16 +118,16 @@ object CpaVi {
     // (monotonically decreasing in t) and collapses all items into the first
     // few clusters before any data has spoken.
     CpaCore.updateGlobals(s.g, cfg, 1.0, engine.bootstrapLambda(s.g.T, s.g.M, nLabels, s.kappa, s.phi),
-      1.0, allWorkers, s.kappa, 1.0, allItems, s.phi, cand(_), yhat(_), 1.0)
+      1.0, allWorkers, s.kappa, 1.0, allItems, s.phi, s.cand(_), s.yhat(_), 1.0)
 
-    val nCandTotal = cand.iterator.map(_.length).sum
+    val nCandTotal = s.cand.iterator.map(_.length).sum
     val freeItems = allItems.filterNot(knownY.contains) // observed items keep their ŷ
     var iter = 0
     var converged = false
     while (iter < cfg.maxIter && !converged) {
       // The truth layer reads this pass's vote rows.
-      val (dPhi, dY) = s.step(engine, 1.0, meanAnswerSize, allItems, freeItems, allWorkers,
-        1.0, 1.0, 1.0)(_.llr)
+      val (dPhi, dY) = s.step(engine, 1.0, allItems, freeItems, allWorkers, 1.0, 1.0, 1.0,
+        cumulativeVotes = false)
       iter += 1
       // Converge only once both the clustering and the truth estimate settle;
       // under noL ϕ never moves and ŷ alone decides.
@@ -135,6 +135,6 @@ object CpaVi {
       val phiMove = if (cfg.noL) yMove else dPhi / (nItems.toDouble * s.g.T)
       converged = phiMove < cfg.tol && yMove < 10 * cfg.tol
     }
-    s.toModel(iter, meanAnswerSize)
+    s.toModel(iter)
   }
 }

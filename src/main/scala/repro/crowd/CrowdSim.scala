@@ -228,7 +228,7 @@ object CrowdSim {
       while (answered(item).contains(u) && tries < 20) { u = drawWorker(); tries += 1 }
       if (!answered(item).contains(u)) {
         answered(item) += u
-        val a = answerFor(item, u, truth(item), hardness(item), distractors(item),
+        val a = answerFor(truth(item), hardness(item), distractors(item),
           expert(u)(itemCluster(item)), cores(itemCluster(item)), types(u),
           petSet(u), cfg, rng)
         if (a.nonEmpty) {
@@ -243,8 +243,6 @@ object CrowdSim {
 
   /** One worker's answer for one item (possibly empty => caller drops it). */
   private[crowd] def answerFor(
-      item: Int,
-      worker: Int,
       truth: Array[Int],
       hard: Array[Boolean],
       distractors: Array[(Int, Double)],

@@ -1,6 +1,6 @@
 package repro.crowd
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Set-based precision / recall of the paper (§5.1, Metrics).
@@ -48,7 +48,7 @@ object Metrics {
     * (item: Int, labels: Array[Int]); returns a 1-row DataFrame with columns
     * (precision, recall). Items absent from `predDf` count as empty.
     */
-  def evaluateDf(spark: SparkSession, truthDf: DataFrame, predDf: DataFrame): DataFrame = {
+  def evaluateDf(truthDf: DataFrame, predDf: DataFrame): DataFrame = {
     val joined = truthDf.as("t")
       .join(predDf.as("p"), col("t.item") === col("p.item"), "left")
       .select(

@@ -41,7 +41,7 @@ class MajorityVoteSpec extends SparkSpec {
 
   test("Spark DataFrame implementation matches the local implementation") {
     val local = MajorityVote.aggregate(ds.answers)
-    val df = MajorityVote.aggregateDf(spark, AnswerData.toDf(spark, ds.answers))
+    val df = MajorityVote.aggregateDf(AnswerData.toDf(spark, ds.answers))
     val dist = df.collect().map(r =>
       r.getInt(0) -> r.getSeq[Int](1).toArray).toMap
     val answeredItems = ds.answers.map(_.item).distinct
@@ -64,7 +64,7 @@ class MajorityVoteSpec extends SparkSpec {
 
   test("Spark majority sets match a DuckDB oracle (exploded comparison)") {
     val answersDf = AnswerData.toDf(spark, ds.answers)
-    val result = MajorityVote.aggregateDf(spark, answersDf)
+    val result = MajorityVote.aggregateDf(answersDf)
       .select(col("item"), explode(col("labels")).as("label"))
     val flat = answersDf.select(col("item"), col("worker"), explode(col("labels")).as("label"))
     val perItem = answersDf.groupBy("item").agg(count(lit(1)).as("n"))

@@ -13,6 +13,11 @@ class CpaCoreSpec extends AnyFunSuite {
     Answer(2, 1, Array(0)), Answer(2, 2, Array(0, 1)))
   private val I = 3; private val U = 3; private val C = 4
 
+  /** A state with `as` registered on their candidates, ϕ started with seed 1. */
+  private def registered(as: Seq[Answer], nItems: Int, cfg: CpaConfig = CpaConfig(T = 4, M = 2),
+      nLabels: Int = C): CpaState =
+    new CpaState(cfg, nItems, U, nLabels, candidates(as, nItems), as)(initPhi(_, _, _, 1))
+
   test("sticksElog of uniform Beta(1,1) sticks decreases in the index") {
     val e = sticksElog(Array.fill(4)(1.0), Array.fill(4)(1.0))
     assert(e.zip(e.tail).forall { case (a, b) => a > b })
@@ -53,21 +58,29 @@ class CpaCoreSpec extends AnyFunSuite {
   }
 
   test("initYhat sharpens vote shares around 0.5") {
-    val cand = candidates(answers, I)
-    val y = initYhat(answers, I, cand)
+    val y = registered(answers, I).yhat
     // item 0: label 1 voted 2/2 -> close to 1; label 0 voted 1/2 -> 0.5.
     assert(y(0)(1) > 0.9)
     assert(math.abs(y(0)(0) - 0.5) < 1e-9)
   }
 
   test("initPhi groups items sharing a dominant label") {
-    val phi = initPhi(answers, I, T = 5, seed = 1)
+    val s = registered(answers, I)
+    val phi = initPhi(s.cand, Array.tabulate(I)(s.votesOf), T = 5, seed = 1)
     phi.foreach { row => assert(math.abs(row.sum - 1.0) < 1e-9) }
     // dominant labels: item 0 -> 1 (two votes), item 1 -> 2, item 2 -> 0;
     // each seeds the slot (topLabel mod T).
     assert(phi(0).indexOf(phi(0).max) == 1)
     assert(phi(1).indexOf(phi(1).max) == 2)
     assert(phi(2).indexOf(phi(2).max) == 0)
+  }
+
+  test("initPhi starts an item without votes at its own index") {
+    // Item 0 votes label 2 twice and label 1 once; item 1 has an answer
+    // without labels; item 2 ties labels 0 and 3 and takes the smaller.
+    val phi = initPhi(Array(Array(1, 2), Array.emptyIntArray, Array(0, 3)),
+      Array(Array(1, 2), Array.emptyIntArray, Array(1, 1)), T = 4, seed = 1)
+    assert(phi.map(r => r.indexOf(r.max)).sameElements(Array(2, 1, 0)))
   }
 
   test("initKappa rows are distributions with a dominant slot") {
@@ -91,13 +104,9 @@ class CpaCoreSpec extends AnyFunSuite {
 
   private def freshState() = {
     val cfg = CpaConfig(T = 4, M = 2)
-    val g = initGlobals(cfg, I, U, C)
-    val phi = initPhi(answers, I, g.T, 1)
-    val kappa = initKappa(U, g.M, 1)
-    val cand = candidates(answers, I)
-    val yhat = initYhat(answers, I, cand)
-    val d = derive(g)
-    (cfg, g, phi, kappa, cand, yhat, d)
+    val s = registered(answers, I, cfg)
+    val kappa = initKappa(U, s.g.M, 1)
+    (cfg, s.g, s.phi, kappa, s.cand, s.yhat, derive(s.g))
   }
 
   /** The truth layer of the fresh state over the vote statistics of `st`
@@ -105,7 +114,7 @@ class CpaCoreSpec extends AnyFunSuite {
     */
   private def truthOf(g: Globals, phi: Array[Array[Double]], yhat: Array[Array[Double]],
       st: SuffStats, meanAnswerSize: Double = 1.5): TruthLayer =
-    truthLayer(g, phi, yhat.map(_.sum), meanAnswerSize, st.llr, answerCounts(answers, I))
+    truthLayer(g, phi, yhat.map(_.sum), meanAnswerSize, st.llr, registered(answers, I).nAns)
 
   test("derive produces finite expectations and cluster label distributions") {
     val (_, g, phi, _, _, yhat, d) = freshState()
@@ -150,7 +159,7 @@ class CpaCoreSpec extends AnyFunSuite {
   }
 
   test("answerCounts records one answer per item") {
-    assert(answerCounts(answers, I).sameElements(Array(2.0, 2.0, 2.0)))
+    assert(registered(answers, I).nAns.sameElements(Array(2.0, 2.0, 2.0)))
   }
 
   test("accumulate llr entries cover exactly the candidate labels of answered items") {
@@ -221,11 +230,9 @@ class CpaCoreSpec extends AnyFunSuite {
     } yield (nItems, nLabels, as.toVector, split)
     val prop = Prop.forAllNoShrink(genAnswers) { case (nItems, nLabels, as, split) =>
       val cfg = CpaConfig(T = 3, M = 2)
-      val g = initGlobals(cfg, nItems, 3, nLabels)
-      val phi = initPhi(as, nItems, g.T, 1)
+      val s = registered(as, nItems, cfg, nLabels)
+      val (g, phi, cand, yhat) = (s.g, s.phi, s.cand, s.yhat)
       val kappa = initKappa(3, g.M, 1)
-      val cand = candidates(as, nItems)
-      val yhat = initYhat(as, nItems, cand)
       val d = derive(g)
       val sens = Array.fill(g.M * nLabels)(0.65); val fp = Array.fill(g.M * nLabels)(0.08)
       def stats(xs: Seq[Answer]) = {

@@ -159,4 +159,33 @@ class CpaViSpec extends AnyFunSuite {
     val p = m.predictItem(ds.nItems + 1)
     assert(p.forall(c => c >= 0 && c < ds.nLabels))
   }
+  test("a fit on the answers in another order has the same iterations, predictions, and phi and kappa within 1e-6") {
+    // Relabelling items or workers is no such invariant: κ_u starts in
+    // community u mod M and the ϕ and λ jitter is drawn in index order.
+    import org.scalacheck.{Gen, Prop, Test}
+    val genCase = for {
+      nItems <- Gen.choose(1, 8)
+      nWorkers <- Gen.choose(1, 6)
+      nLabels <- Gen.choose(1, 6)
+      n <- Gen.choose(0, 30)
+      as <- Gen.listOfN(n, for {
+        i <- Gen.choose(0, nItems - 1)
+        u <- Gen.choose(0, nWorkers - 1)
+        ls <- Gen.nonEmptyContainerOf[Set, Int](Gen.choose(0, nLabels - 1))
+      } yield Answer(i, u, ls.toArray.sorted))
+      seed <- Gen.choose(0L, 1000L)
+    } yield (nItems, nWorkers, nLabels, as.distinctBy(a => (a.item, a.worker)).toVector, seed)
+    def close(a: Array[Array[Double]], b: Array[Array[Double]]) =
+      a.indices.forall(k => a(k).indices.forall(j => math.abs(a(k)(j) - b(k)(j)) < 1e-6))
+    val cfg = CpaConfig(maxIter = 8)
+    val prop = Prop.forAllNoShrink(genCase) { case (nItems, nWorkers, nLabels, as, seed) =>
+      val inOrder = CpaVi.fit(as, nItems, nWorkers, nLabels, cfg)
+      val shuffled = CpaVi.fit(new scala.util.Random(seed).shuffle(as), nItems, nWorkers, nLabels, cfg)
+      shuffled.iterations == inOrder.iterations &&
+        (0 until nItems).forall(i => shuffled.predictItem(i).sameElements(inOrder.predictItem(i))) &&
+        close(shuffled.phi, inOrder.phi) && close(shuffled.kappa, inOrder.kappa)
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(30).withInitialSeed(29L), prop)
+    assert(res.passed, res.status.toString)
+  }
 }

@@ -58,7 +58,7 @@ class MetricsSpec extends SparkSpec {
     val truthDf = ds.truth.zipWithIndex.map { case (t, i) => (i, t.toSeq) }.toSeq
       .toDF("item", "labels")
     val predDf = pred.toSeq.map { case (i, p) => (i, p.toSeq) }.toDF("item", "labels")
-    val row = evaluateDf(spark, truthDf, predDf).collect()(0)
+    val row = evaluateDf(truthDf, predDf).collect()(0)
     val pr = evaluate(ds, pred)
     assert(math.abs(row.getDouble(0) - pr.precision) < 1e-12)
     assert(math.abs(row.getDouble(1) - pr.recall) < 1e-12)
@@ -74,7 +74,7 @@ class MetricsSpec extends SparkSpec {
     val d2 = CrowdDataset("r", nItems, 10, 1, truth, Vector.empty, Array(WorkerType.Reliable))
     val truthDf = truth.zipWithIndex.map { case (t, i) => (i, t.toSeq) }.toSeq.toDF("item", "labels")
     val predDf = prd.toSeq.map { case (i, p) => (i, p.toSeq) }.toDF("item", "labels")
-    val row = evaluateDf(spark, truthDf, predDf).collect()(0)
+    val row = evaluateDf(truthDf, predDf).collect()(0)
     val pr = evaluate(d2, prd)
     assert(math.abs(row.getDouble(0) - pr.precision) < 1e-9)
     assert(math.abs(row.getDouble(1) - pr.recall) < 1e-9)
@@ -94,7 +94,7 @@ class MetricsSpec extends SparkSpec {
     val items = (0 until nItems).map(i => Tuple1(i)).toDF("item")
     val truthDf = truth.zipWithIndex.map { case (t, i) => (i, t.toSeq) }.toSeq.toDF("item", "labels")
     val predDf = prd.toSeq.map { case (i, p) => (i, p.toSeq) }.toDF("item", "labels")
-    val sparkOut = Metrics.evaluateDf(spark, truthDf, predDf)
+    val sparkOut = Metrics.evaluateDf(truthDf, predDf)
       .select(round(col("precision"), 6).as("precision"), round(col("recall"), 6).as("recall"))
     Oracle.assertEquivalent(
       sparkOut,

@@ -5,7 +5,7 @@ import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.repro.ListenerBusAccess
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted, SparkListenerTaskEnd}
 import repro.SparkSpec
-import repro.core.{CpaConfig, CpaCore, CpaModel, CpaVi, LocalEngine, TinyAnswers}
+import repro.core.{CpaConfig, CpaCore, CpaModel, CpaState, CpaVi, LocalEngine, TinyAnswers}
 import repro.crowd.{Answer, Datasets, Metrics}
 
 class CpaSparkSpec extends SparkSpec {
@@ -22,22 +22,25 @@ class CpaSparkSpec extends SparkSpec {
     finally data.unpersist()
   }
 
+  /** The starting state of `CpaVi.fitEngine` on `ds`: every answer
+    * registered on the candidates.
+    */
+  private def startState() = new CpaState(cfg, ds.nItems, ds.nWorkers, ds.nLabels,
+    localEngine.candidates(ds.nItems), ds.answers)(CpaCore.initPhi(_, _, _, cfg.seed))
+
   /** The inputs of the second VI iteration's passes on `ds`: globals
     * bootstrapped as `CpaVi.fitEngine` does, community coins from one
     * statistics pass.
     */
   private lazy val passInputs = {
-    val g = CpaCore.initGlobals(cfg, ds.nItems, ds.nWorkers, ds.nLabels)
-    val phi = CpaCore.initPhi(ds.answers, ds.nItems, g.T, cfg.seed)
-    val kappa = CpaCore.initKappa(ds.nWorkers, g.M, cfg.seed)
-    val cand = localEngine.candidates(ds.nItems)
-    val yhat = CpaCore.initYhat(ds.answers, ds.nItems, cand)
+    val s = startState()
+    val (g, phi, kappa, cand, yhat) = (s.g, s.phi, s.kappa, s.cand, s.yhat)
     CpaCore.updateGlobals(g, cfg, 1.0, localEngine.bootstrapLambda(g.T, g.M, g.C, kappa, phi), 1.0,
       Array.range(0, ds.nWorkers), kappa, 1.0, Array.range(0, ds.nItems), phi, cand(_), yhat(_), 1.0)
     val d = CpaCore.derive(g)
     val first = localEngine.computeStats(g.T, g.M, g.C, ds.nItems, kappa, phi, cand, yhat, d,
       Array.fill(g.M * g.C)(CpaCore.SensStart), Array.fill(g.M * g.C)(CpaCore.FpStart))
-    val (sens, fp) = CpaCore.communityCoins(first, localEngine.meanAnswerSize)
+    val (sens, fp) = CpaCore.communityCoins(first, s.meanAnswerSize)
     PassInputs(g, phi, kappa, cand, yhat, d, sens, fp)
   }
 
@@ -97,9 +100,8 @@ class CpaSparkSpec extends SparkSpec {
   }
 
   test("SparkEngine.bootstrapLambda equals LocalEngine.bootstrapLambda") {
-    val g = CpaCore.initGlobals(cfg, ds.nItems, ds.nWorkers, ds.nLabels)
-    val phi = CpaCore.initPhi(ds.answers, ds.nItems, g.T, cfg.seed)
-    val kappa = CpaCore.initKappa(ds.nWorkers, g.M, cfg.seed)
+    val s = startState()
+    val (g, phi, kappa) = (s.g, s.phi, s.kappa)
     val onDriver = localEngine.bootstrapLambda(g.T, g.M, g.C, kappa, phi)
     val onSpark = withSparkEngine(_.bootstrapLambda(g.T, g.M, g.C, kappa, phi))
     assertClose(onDriver, onSpark, "lambda stat")
@@ -167,6 +169,14 @@ class CpaSparkSpec extends SparkSpec {
 
   test("a Spark fit on zero answers equals the local fit") {
     assertSparkFitsLikeLocal(Seq.empty, 4, 3, 5)
+  }
+
+  test("a Spark fit where an item's only answers have no labels equals the local fit") {
+    // Item 1's one answer and one of item 2's carry no label.
+    val answers = Seq(Answer(0, 0, Array(1)), Answer(1, 1, Array()), Answer(2, 0, Array(0, 2)),
+      Answer(2, 1, Array()))
+    val (onDriver, _) = assertSparkFitsLikeLocal(answers, 3, 2, 3)
+    assert(onDriver.cand(1).isEmpty && onDriver.lastStats.nAns(1) == 1.0)
   }
 
   test("a worker with no answers keeps its initial κ row on Spark, as locally") {
@@ -260,7 +270,7 @@ class CpaSparkSpec extends SparkSpec {
   }
   test("Spark-side metric of Spark predictions matches the local metric") {
     val predDf = AnswerData.predictionsDf(spark, CpaSpark.predict(spark, dist))
-    val row = Metrics.evaluateDf(spark, AnswerData.truthDf(spark, ds), predDf).collect()(0)
+    val row = Metrics.evaluateDf(AnswerData.truthDf(spark, ds), predDf).collect()(0)
     val pr = Metrics.evaluate(ds, dist.predict())
     assert(math.abs(row.getDouble(0) - pr.precision) < 1e-9)
     assert(math.abs(row.getDouble(1) - pr.recall) < 1e-9)
