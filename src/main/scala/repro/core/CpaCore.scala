@@ -666,13 +666,13 @@ object CpaCore {
     * `workers`), υ (Σ ϕ over `items`) and ζ (Σ ϕŷ over `items`), mutating `g`
     * (Hoffman et al., 2013, eq. 2.6). Batch VI is ω = 1 with unit scales over
     * all workers and items; SVI passes ω_b, its batch and the batch-to-corpus
-    * scales.
+    * scales, which [[CpaState.globalStep]] works out for both.
     */
   def updateGlobals(g: Globals, cfg: CpaConfig, omega: Double,
       lamStat: Array[Double], ansScale: Double,
       workers: Array[Int], kappa: Array[Array[Double]], workerScale: Double,
-      items: Array[Int], phi: Array[Array[Double]], cand: Int => Array[Int],
-      yhat: Int => Array[Double], itemScale: Double): Unit = {
+      items: Array[Int], phi: Array[Array[Double]], cand: Array[Array[Int]],
+      yhat: Array[Array[Double]], itemScale: Double): Unit = {
     val T = g.T; val M = g.M; val C = g.C
     val lamHat = new Array[Double](C)
     var t = 0
@@ -718,6 +718,7 @@ object CpaCore {
     blend(g.rho1, r1, omega); blend(g.rho2, r2, omega)
     val (u1, u2) = updateSticks(phiSum, cfg.eps)
     blend(g.ups1, u1, omega); blend(g.ups2, u2, omega)
+    ()
   }
 
   /** Eq 4 globals: ρ_m1 = 1 + Σ_u κ_um; ρ_m2 = α + Σ_u Σ_{l>m} κ_ul. */

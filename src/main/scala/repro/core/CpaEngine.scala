@@ -9,9 +9,10 @@ package repro.core
   */
 trait CpaEngine {
 
-  /** Number of answers and mean number of labels per answer. No fit reads
-    * them ([[CpaState]] counts what it registers); they stay for the
-    * benchmark harness (`perfbench/`), which implements and checks both.
+  /** Number of answers the passes run over, which [[CpaState.step]] reads,
+    * and the mean number of labels per answer, which no fit reads
+    * ([[CpaState]] counts what it registers): it stays for the benchmark
+    * harness (`perfbench/`), which implements and checks it.
     */
   def nAnswers: Long
   def meanAnswerSize: Double

@@ -26,6 +26,7 @@ final class CpaState(cfg: CpaConfig, nItems: Int, nWorkers: Int, nLabels: Int,
   val yhat: Array[Array[Double]] = cand.map(r => Array.fill(r.length)(Double.NaN))
   private val ySize = new Array[Double](nItems)
   private[core] val nAns = new Array[Double](nItems)
+  private val pinned = new Array[Boolean](nItems)
   /** The vote rows the truth layer reads; null for items without answers. */
   var llr: Array[Array[Double]] = new Array[Array[Double]](nItems)
   private var nAnswersSeen = 0L
@@ -73,7 +74,7 @@ final class CpaState(cfg: CpaConfig, nItems: Int, nWorkers: Int, nLabels: Int,
       val y = yhat(i)
       var j = 0
       while (j < y.length) {
-        if (y(j).isNaN) y(j) = CpaCore.sharpenedShare(votes(i)(j), nAns(i))
+        if (y(j).isNaN) y(j) = CpaCore.sharpenedShare(votes(i)(j).toDouble, nAns(i))
         j += 1
       }
       ySize(i) = y.sum
@@ -99,30 +100,27 @@ final class CpaState(cfg: CpaConfig, nItems: Int, nWorkers: Int, nLabels: Int,
   def pinTruth(i: Int, labels: Array[Int]): Unit = {
     yhat(i) = cand(i).map(c => if (labels.contains(c)) 1.0 else 0.0)
     ySize(i) = yhat(i).sum
+    pinned(i) = true
   }
 
   /** One CPA step with rate `omega`, in the order of Hoffman et al. (2013,
     * "Stochastic Variational Inference", Alg. 1), locals before globals:
     *  1. [[CpaCore.derive]] from the current globals;
     *  2. the engine's κ pass (Eq 2) and statistics pass;
-    *  3. the truth layer over [[llr]]: the pass's vote rows, or with
-    *     `cumulativeVotes` (SVI) those of `items` added into the kept ones;
+    *  3. the truth layer over [[llr]]: the pass's vote rows if it covers every
+    *     registered answer (VI), else its rows of `items` added into the kept ones;
     *  4. the community coins, blended with ω;
     *  5. ϕ of `items` (Eq 3 + answer term), blended with ω;
-    *  6. the damped truth step on `truthItems`;
-    *  7. the global step (Eq 4-7 / Eq 18-19) from the updated κ of `workers`
-    *     and ϕ, ŷ of `items`, their statistics scaled up to the corpus by
-    *     `ansScale`, `workerScale` and `itemScale`.
+    *  6. the damped truth step on `items` not pinned by [[pinTruth]];
+    *  7. [[globalStep]] from the updated κ of `workers` and ϕ, ŷ of `items`.
     * Returns (Σ |Δϕ|, Σ |Δŷ|) over the updated rows.
     */
-  def step(engine: CpaEngine, omega: Double,
-      items: Array[Int], truthItems: Array[Int], workers: Array[Int],
-      ansScale: Double, workerScale: Double, itemScale: Double,
-      cumulativeVotes: Boolean): (Double, Double) = {
+  def step(engine: CpaEngine, omega: Double, items: Array[Int], workers: Array[Int]): (Double, Double) = {
     val d = CpaCore.derive(g)
     if (!cfg.noZ) kappa = engine.computeKappa(kappa, phi, d)
     val st = engine.computeStats(g.T, g.M, g.C, nItems, kappa, phi, cand, yhat, d, sensMc, fpMc)
-    if (cumulativeVotes) items.foreach(i => CpaCore.addInto(llr(i), st.llr(i))) else llr = st.llr
+    if (engine.nAnswers == answersSeen) llr = st.llr
+    else items.foreach(i => CpaCore.addInto(llr(i), st.llr(i)))
     val truth = CpaCore.truthLayer(g, phi, ySize, meanAnswerSize, llr, nAns)
     val (sens, fp) = CpaCore.communityCoins(st, meanAnswerSize)
     CpaCore.blend(sensMc, sens, omega)
@@ -131,11 +129,24 @@ final class CpaState(cfg: CpaConfig, nItems: Int, nWorkers: Int, nLabels: Int,
     if (!cfg.noL) items.foreach { i =>
       dPhi += CpaCore.blend(phi(i), CpaCore.phiRow(i, st.aIt, cand(i), yhat(i), d), omega)
     }
+    val truthItems = items.filterNot(pinned(_))
     val dY = CpaCore.truthStep(truthItems, cand, yhat, phi, truth)
     truthItems.foreach(i => ySize(i) = yhat(i).sum)
-    CpaCore.updateGlobals(g, cfg, omega, st.lamStat, ansScale, workers, kappa, workerScale,
-      items, phi, cand(_), yhat(_), itemScale)
+    globalStep(omega, st.lamStat, engine.nAnswers, items, workers)
     (dPhi, dY)
+  }
+
+  /** [[CpaCore.updateGlobals]] from `lamStat` of a pass over `passAnswers`
+    * answers, κ of `workers` and ϕ, ŷ of `items`, scaled up by answers seen /
+    * `passAnswers`, workers / |`workers`| and items seen / |`items`|, each at
+    * least 1: a pass over everything seen (batch VI) is unscaled.
+    */
+  def globalStep(omega: Double, lamStat: Array[Double], passAnswers: Long,
+      items: Array[Int], workers: Array[Int]): Unit = {
+    def scale(seen: Long, pass: Long) = math.max(1.0, seen.toDouble / math.max(1L, pass).toDouble)
+    CpaCore.updateGlobals(g, cfg, omega, lamStat, scale(answersSeen, passAnswers), workers, kappa,
+      scale(nWorkers.toLong, workers.length.toLong), items, phi, cand, yhat,
+      scale(itemsSeen.toLong, items.length.toLong))
   }
 
   /** The model of the current state after `iterations` steps, its truth

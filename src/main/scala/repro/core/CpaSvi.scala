@@ -11,9 +11,9 @@ import repro.crowd.Answer
   * [[LocalEngine]] of the batch with learning rate ω_b = (1+b)^{-r}
   * (Eq 18-20): κ, ϕ and ŷ of the batch first, then the natural-gradient
   * global step from those updated locals (the local-then-global order of
-  * Hoffman et al., 2013, Alg. 1). Unlike VI, the
-  * truth layer's vote statistics are cumulative over batches: the step reads
-  * the llr rows after the batch's votes are merged in. Per the paper, only
+  * Hoffman et al., 2013, Alg. 1). A batch covers only part of the answers
+  * seen, so the step adds its vote rows into the kept ones (cumulative over
+  * batches) and scales its statistics up to the corpus. Per the paper, only
   * the most recent parameter values are kept — the model is never
   * re-inferred from the full answer set, which is what makes the
   * accumulated runtime O(T1/B + T2) per batch instead of O(T1 + T2) per
@@ -62,14 +62,8 @@ final class CpaSvi(
     batchIndex += 1
     val omega = math.pow(1.0 + batchIndex, -cfg.forgetRate)
     val batchItems = state.register(batch)
-    val batchWorkers = batch.map(_.worker).distinct.toArray
-
-    // One step over the batch; the global statistics are scaled up to the
-    // corpus size estimated by the answers, workers and items seen.
-    state.step(new LocalEngine(batch), omega, batchItems, batchItems, batchWorkers,
-      math.max(1.0, state.answersSeen.toDouble / batch.size),
-      math.max(1.0, nWorkers.toDouble / batchWorkers.length),
-      math.max(1.0, state.itemsSeen.toDouble / batchItems.length), cumulativeVotes = true)
+    state.step(new LocalEngine(batch), omega, batchItems, batch.map(_.worker).distinct.toArray)
+    () // a stream has no convergence test: the step's residuals go unread
   }
 
   /** Snapshot the current state as a [[CpaModel]] for (online) prediction;

@@ -86,12 +86,12 @@ object CpaVi {
     fitEngine(new LocalEngine(answers), answers, nItems, nWorkers, nLabels, cfg, knownY)
 
   /** Fit CPA with an explicit engine. `initAnswers` is the engine's answer
-    * set, registered once on the driver into a [[CpaState]] built from the
-    * engine's candidates: it gives the vote counts behind the informative ϕ
-    * start and the starting ŷ, the per-item answer counts and the mean
-    * answer size. Every answer's item and worker ids must lie within
-    * [0, nItems) and [0, nWorkers), and its labels must be strictly
-    * increasing within [0, nLabels). `knownY` pins the soft truth ŷ of the
+    * set (`engine.nAnswers` answers), registered once on the driver into a
+    * [[CpaState]] built from the engine's candidates: it gives the vote
+    * counts behind the informative ϕ start and the starting ŷ, the per-item
+    * answer counts and the mean answer size. Every answer's item and worker
+    * ids must lie within [0, nItems) and [0, nWorkers), and its labels must
+    * be strictly increasing within [0, nLabels). `knownY` pins the soft truth ŷ of the
     * given items to their observed labels (Eq 7 with y);
     * [[CpaModel.predictItem]] does not read ŷ, so a known item's predicted
     * set still comes from its votes.
@@ -103,13 +103,15 @@ object CpaVi {
     require(cfg.maxIter >= 1, "at least one VI iteration is required")
     CpaCore.requireValidIds(initAnswers, nItems, nWorkers)
     CpaCore.requireValidLabels(initAnswers, nLabels)
+    require(engine.nAnswers == initAnswers.size,
+      s"the engine holds ${engine.nAnswers} answers, initAnswers ${initAnswers.size}")
     // The candidates hold every label of `initAnswers`: registering inserts nothing.
     val s = new CpaState(cfg, nItems, nWorkers, nLabels, engine.candidates(nItems), initAnswers)(
       CpaCore.initPhi(_, _, _, cfg.seed))
     // Observed true labels override the soft estimate permanently (Eq 7 with y).
     knownY.foreach { case (i, ys) => s.pinTruth(i, ys) }
 
-    // Batch VI is the ω = 1 step with unit scales over all workers and items.
+    // Batch VI is the ω = 1 step over all workers and items (so unscaled).
     val allWorkers = Array.range(0, nWorkers)
     val allItems = Array.range(0, nItems)
 
@@ -117,17 +119,14 @@ object CpaVi {
     // Without this, the first ϕ update sees only the stick prior E[ln τ_t]
     // (monotonically decreasing in t) and collapses all items into the first
     // few clusters before any data has spoken.
-    CpaCore.updateGlobals(s.g, cfg, 1.0, engine.bootstrapLambda(s.g.T, s.g.M, nLabels, s.kappa, s.phi),
-      1.0, allWorkers, s.kappa, 1.0, allItems, s.phi, s.cand(_), s.yhat(_), 1.0)
+    s.globalStep(1.0, engine.bootstrapLambda(s.g.T, s.g.M, nLabels, s.kappa, s.phi),
+      engine.nAnswers, allItems, allWorkers)
 
     val nCandTotal = s.cand.iterator.map(_.length).sum
-    val freeItems = allItems.filterNot(knownY.contains) // observed items keep their ŷ
     var iter = 0
     var converged = false
     while (iter < cfg.maxIter && !converged) {
-      // The truth layer reads this pass's vote rows.
-      val (dPhi, dY) = s.step(engine, 1.0, allItems, freeItems, allWorkers, 1.0, 1.0, 1.0,
-        cumulativeVotes = false)
+      val (dPhi, dY) = s.step(engine, 1.0, allItems, allWorkers)
       iter += 1
       // Converge only once both the clustering and the truth estimate settle;
       // under noL ϕ never moves and ŷ alone decides.

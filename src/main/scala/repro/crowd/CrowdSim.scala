@@ -200,7 +200,7 @@ object CrowdSim {
 
     // --- Worker sampling weights (Zipf-skewed or uniform answer volume). ---
     val weights = Array.tabulate(nWorkers) { u =>
-      if (skewedWorkers) 1.0 / math.pow(u + 1, 0.8) else 1.0
+      if (skewedWorkers) 1.0 / math.pow((u + 1).toDouble, 0.8) else 1.0
     }
     val wCdf = weights.scanLeft(0.0)(_ + _).drop(1)
     val wTotal = wCdf.last

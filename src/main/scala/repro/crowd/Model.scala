@@ -47,9 +47,6 @@ final case class CrowdDataset(
   /** Total number of answers (worker-item pairs with a non-empty label set). */
   def nAnswers: Int = answers.size
 
-  /** Answers grouped by item index (missing items map to empty). */
-  lazy val byItem: Map[Int, Vector[Answer]] = answers.groupBy(_.item)
-
   /** Answers grouped by worker index. */
   lazy val byWorker: Map[Int, Vector[Answer]] = answers.groupBy(_.worker)
 

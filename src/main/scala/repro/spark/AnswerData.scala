@@ -4,12 +4,6 @@ import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import repro.core.CpaCore
 import repro.crowd.{Answer, CrowdDataset}
 
-/** Row type for the answers DataFrame: one row per (item, worker) pair with
-  * the assigned label set. Mirrors [[repro.crowd.Answer]] but uses `Seq` so
-  * the product encoder applies cleanly.
-  */
-final case class AnswerRow(item: Int, worker: Int, labels: Seq[Int])
-
 /** Conversions between the driver-local answer representation and Spark
   * DataFrames/Datasets.
   */
@@ -21,11 +15,12 @@ object AnswerData {
 
   private val Partitions = 8
 
-  /** Answers as a typed Dataset; labels are stored sorted and distinct. */
-  def toDs(spark: SparkSession, answers: Seq[Answer]): Dataset[AnswerRow] = {
+  /** Answers as a typed Dataset (item, worker, labels array<int>); labels are
+    * stored sorted and distinct.
+    */
+  def toDs(spark: SparkSession, answers: Seq[Answer]): Dataset[Answer] = {
     import spark.implicits._
-    spark.createDataset(answers.map(a => AnswerRow(a.item, a.worker, normalise(a).labels.toSeq)))
-      .repartition(Partitions)
+    spark.createDataset(answers.map(normalise)).repartition(Partitions)
   }
 
   /** Answers as an untyped DataFrame (item, worker, labels). */

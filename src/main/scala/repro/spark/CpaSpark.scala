@@ -12,11 +12,13 @@ import scala.reflect.ClassTag
 /** Algorithm 3 — the MapReduce-parallelised CPA inference on Spark (the
   * paper's own scalability experiments ran on Apache Spark, §5.1).
   *
-  * The cached answers are read as an RDD, decoded once per pass and
-  * coalesced without a shuffle to one partition per core. Each engine pass is
-  * one narrow stage over them: a `mapPartitions` that folds the partition's
-  * answers through a [[CpaCore]] kernel, and a collect or `reduce` of one
-  * value per partition on the driver. Per iteration:
+  * The cached answers are read as an RDD of [[Answer]] and coalesced
+  * without a shuffle to one partition per core. Each engine pass is one
+  * narrow stage over them: a `mapPartitions` that folds the partition's
+  * answers through a [[CpaCore]] kernel, and a collect of one value per
+  * partition that the driver merges in partition order, so a fit gives the
+  * same floating-point sums in every run (`RDD.reduce` would merge in the
+  * order the tasks finish). Per iteration:
   *  1. MAP phase 1 (Eq 2): each partition emits, for every worker it holds,
   *     the partial κ logits of that worker's answers there
   *     ([[CpaCore.kappaLogits]] from a zero start, the fold [[LocalEngine]]
@@ -25,8 +27,8 @@ import scala.reflect.ClassTag
   *     κ_u for any partitioning, with no `groupByKey` shuffle.
   *  2. MAP phase 2 + REDUCE: each partition accumulates its answers'
   *     sufficient statistics ([[CpaCore.accumulate]]: λ-statistic, a_it,
-  *     truth-layer votes, community coins) into one dense buffer, and a
-  *     `reduce` merges the buffers — the "emit {κ_um, a_it} / accumulate"
+  *     truth-layer votes, community coins) into one dense buffer, and the
+  *     driver merges the buffers — the "emit {κ_um, a_it} / accumulate"
   *     structure of the paper's Algorithm 3.
   *  3. The (small) global updates run on the driver.
   * Each pass broadcasts one value holding only what its kernel reads, and
@@ -59,14 +61,12 @@ object CpaSpark {
   /** Spark-backed [[CpaEngine]] over cached answers: every pass is one narrow
     * stage with one task per core.
     */
-  final class SparkEngine(spark: SparkSession, ds: Dataset[AnswerRow],
+  final class SparkEngine(spark: SparkSession, ds: Dataset[Answer],
       val nAnswers: Long, val meanAnswerSize: Double) extends CpaEngine {
     private val sc = spark.sparkContext
 
-    /** The answers of `ds`, decoded once per pass, one partition per core. */
-    private[spark] lazy val answers: RDD[Answer] =
-      ds.rdd.map(r => Answer(r.item, r.worker, r.labels.toArray))
-        .coalesce(sc.defaultParallelism)
+    /** The answers of `ds`, one partition per core. */
+    private[spark] lazy val answers: RDD[Answer] = ds.rdd.coalesce(sc.defaultParallelism)
 
     override def candidates(nItems: Int): Array[Array[Int]] = {
       val sets = Array.fill(nItems)(scala.collection.mutable.SortedSet.empty[Int])
@@ -107,7 +107,7 @@ object CpaSpark {
           it.foreach(a => CpaCore.accumulate(st, a, in.kappa(a.worker), in.phi(a.item), in.dlam,
             in.cand(a.item), in.yhat(a.item), in.sensMc, in.fpMc))
           Iterator.single(st)
-        }.reduce(_ merge _)
+        }.collect().reduceLeft(_ merge _)
       }
 
     override def bootstrapLambda(T: Int, M: Int, C: Int,
@@ -118,7 +118,7 @@ object CpaSpark {
           val stat = new Array[Double](T * M * C)
           it.foreach(a => CpaCore.accumulateLambda(stat, a.labels, in.phi(a.item), in.kappa(a.worker), C))
           Iterator.single(stat)
-        }.reduce { (x, y) => CpaCore.addInto(x, y); x }
+        }.collect().reduceLeft { (x, y) => CpaCore.addInto(x, y); x }
       }
   }
 
@@ -134,7 +134,7 @@ object CpaSpark {
     try {
       val engine = new SparkEngine(spark, ds, clean.size.toLong, CpaCore.meanAnswerSize(clean))
       CpaVi.fitEngine(engine, clean, nItems, nWorkers, nLabels, cfg)
-    } finally ds.unpersist()
+    } finally { ds.unpersist(); () }
   }
 
   /** Distributed prediction: the greedy instantiation per item, parallelised

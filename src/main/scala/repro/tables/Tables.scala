@@ -132,7 +132,7 @@ object Tables {
     val online = (1 to runs).map { r =>
       Metrics.evaluate(ds,
         CpaSvi.fit(ds.answers, ds.nItems, ds.nWorkers, ds.nLabels,
-          CpaConfig(), seed = 100 + r).predict())
+          CpaConfig(), seed = (100 + r).toLong).predict())
     }
     val mp = online.map(_.precision).sum / runs
     val mr = online.map(_.recall).sum / runs

@@ -348,7 +348,7 @@ class CpaCoreSpec extends AnyFunSuite {
     val lamStat = Array.tabulate(g.T * g.M * C)(k => 0.1 * k)
     lamStat(0) = 2.5
     updateGlobals(g, cfg, 1.0, lamStat, 1.0, Array.range(0, U), kappa, 1.0,
-      Array.range(0, I), phi, cand(_), yhat(_), 1.0)
+      Array.range(0, I), phi, cand, yhat, 1.0)
     assert(math.abs(g.lambda(0)(0)(0) - (cfg.lambda0 + 2.5)) < 1e-12)
     g.lambda.foreach(_.foreach(_.foreach(v => assert(v >= cfg.lambda0 - 1e-12))))
     g.zeta.foreach(_.foreach(v => assert(v >= cfg.zeta0 - 1e-12)))
@@ -370,7 +370,7 @@ class CpaCoreSpec extends AnyFunSuite {
     val omega = 0.5; val ansScale = 3.0; val workerScale = 2.0; val itemScale = 4.0
     val workers = Array(0, 2); val items = Array(2, 1)
     updateGlobals(g, cfg, omega, lamStat, ansScale, workers, kappa, workerScale,
-      items, phi, cand(_), yhat(_), itemScale)
+      items, phi, cand, yhat, itemScale)
     def mix(old: Array[Double], target: Array[Double]) =
       old.indices.map(k => (1 - omega) * old(k) + omega * target(k)).toArray
     for (t <- 0 until g.T; m <- 0 until g.M) {

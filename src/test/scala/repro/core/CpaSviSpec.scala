@@ -83,6 +83,40 @@ class CpaSviSpec extends AnyFunSuite {
     for (t <- 0 until m.globals.T; c <- 0 until small.nLabels)
       assert(math.abs(m.globals.zeta(t)(c) - zeta(t)(c)) < 1e-9, s"zeta($t)($c)")
   }
+  test("a second SVI batch scales its zeta and rho statistics up to the items and workers seen") {
+    val cfg = CpaConfig()
+    val (b1, rest) = small.answers.splitAt(small.answers.size / 10)
+    // A small second batch covers only some of the items seen and the workers.
+    val b2 = rest.take(20)
+    val svi = new CpaSvi(cfg, small.nItems, small.nWorkers, small.nLabels)
+    svi.processBatch(b1)
+    val first = svi.toModel.globals
+    svi.processBatch(b2)
+    val m = svi.toModel
+    val omega = math.pow(3.0, -cfg.forgetRate)
+    def mixed(old: Double, target: Double) = (1 - omega) * old + omega * target
+    def assertNear(a: Double, b: Double, what: String) =
+      assert(math.abs(a - b) <= 1e-9 * math.max(1.0, math.abs(b)), s"$what: $a vs $b")
+    val items = b2.map(_.item).distinct
+    val itemScale = (b1 ++ b2).map(_.item).distinct.size.toDouble / items.size
+    assert(itemScale > 1.0)
+    val zeta = Array.fill(m.globals.T, small.nLabels)(cfg.zeta0)
+    items.foreach { i =>
+      for (t <- 0 until m.globals.T; j <- m.cand(i).indices)
+        zeta(t)(m.cand(i)(j)) += itemScale * m.phi(i)(t) * m.yhat(i)(j)
+    }
+    for (t <- 0 until m.globals.T; c <- 0 until small.nLabels)
+      assertNear(m.globals.zeta(t)(c), mixed(first.zeta(t)(c), zeta(t)(c)), s"zeta($t)($c)")
+    val workers = b2.map(_.worker).distinct
+    val workerScale = small.nWorkers.toDouble / workers.size
+    assert(workerScale > 1.0)
+    val (r1, r2) = CpaCore.updateSticks(
+      Array.tabulate(m.globals.M)(k => workerScale * workers.map(m.kappa(_)(k)).sum), cfg.alpha)
+    for (k <- 0 until m.globals.M) {
+      assertNear(m.globals.rho1(k), mixed(first.rho1(k), r1(k)), s"rho1($k)")
+      assertNear(m.globals.rho2(k), mixed(first.rho2(k), r2(k)), s"rho2($k)")
+    }
+  }
   test("incremental state accumulates answers across batches") {
     val svi = new CpaSvi(CpaConfig(), ds.nItems, ds.nWorkers, ds.nLabels)
     val (b1, b2) = ds.answers.splitAt(ds.answers.size / 2)

@@ -147,6 +147,13 @@ class CpaViSpec extends AnyFunSuite {
       assert(e.getMessage.contains(bad.toString), e.getMessage)
     }
   }
+  test("fitEngine rejects an engine over other answers than initAnswers") {
+    val answers = Vector(Answer(0, 0, Array(0, 2)), Answer(1, 1, Array(1)))
+    val e = intercept[IllegalArgumentException] {
+      CpaVi.fitEngine(new LocalEngine(answers.tail), answers, 2, 2, 3, CpaConfig(maxIter = 1))
+    }
+    assert(e.getMessage.contains("holds 1 answers"), e.getMessage)
+  }
   test("model exposes argmax accessors within range") {
     (0 until ds.nWorkers).foreach(u =>
       assert(model.communityOf(u) >= 0 && model.communityOf(u) < model.globals.M))

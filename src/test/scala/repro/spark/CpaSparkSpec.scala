@@ -19,7 +19,7 @@ class CpaSparkSpec extends SparkSpec {
   private def withSparkEngine[A](body: CpaSpark.SparkEngine => A): A = {
     val data = AnswerData.toDs(spark, ds.answers).cache()
     try body(new CpaSpark.SparkEngine(spark, data, ds.answers.size.toLong, localEngine.meanAnswerSize))
-    finally data.unpersist()
+    finally { data.unpersist(); () }
   }
 
   /** The starting state of `CpaVi.fitEngine` on `ds`: every answer
@@ -35,8 +35,8 @@ class CpaSparkSpec extends SparkSpec {
   private lazy val passInputs = {
     val s = startState()
     val (g, phi, kappa, cand, yhat) = (s.g, s.phi, s.kappa, s.cand, s.yhat)
-    CpaCore.updateGlobals(g, cfg, 1.0, localEngine.bootstrapLambda(g.T, g.M, g.C, kappa, phi), 1.0,
-      Array.range(0, ds.nWorkers), kappa, 1.0, Array.range(0, ds.nItems), phi, cand(_), yhat(_), 1.0)
+    s.globalStep(1.0, localEngine.bootstrapLambda(g.T, g.M, g.C, kappa, phi), localEngine.nAnswers,
+      Array.range(0, ds.nItems), Array.range(0, ds.nWorkers))
     val d = CpaCore.derive(g)
     val first = localEngine.computeStats(g.T, g.M, g.C, ds.nItems, kappa, phi, cand, yhat, d,
       Array.fill(g.M * g.C)(CpaCore.SensStart), Array.fill(g.M * g.C)(CpaCore.FpStart))
@@ -61,6 +61,19 @@ class CpaSparkSpec extends SparkSpec {
     (onDriver, onSpark)
   }
 
+  test("two Spark fits of the same answers are bit-identical") {
+    val again = CpaSpark.fit(spark, ds.answers, ds.nItems, ds.nWorkers, ds.nLabels, cfg)
+    // ϕ, κ, ŷ, ζ, λ per cluster, then the sticks and coins, as raw bits.
+    def bits(m: CpaModel) = {
+      val g = m.globals
+      (Seq(m.phi, m.kappa, m.yhat, g.zeta) ++ g.lambda :+ Array(g.rho1, g.rho2, g.ups1, g.ups2, m.sensMc, m.fpMc))
+        .map(_.map(_.map(java.lang.Double.doubleToRawLongBits).toSeq).toSeq)
+    }
+    assert(again.iterations == dist.iterations)
+    val (a, b) = (bits(again), bits(dist))
+    val differing = a.indices.filter(k => a(k) != b(k))
+    assert(differing.isEmpty)
+  }
   test("Spark engine converges in the same number of iterations as local") {
     assert(dist.iterations == local.iterations)
   }
@@ -245,13 +258,13 @@ class CpaSparkSpec extends SparkSpec {
       local.phi(i).zip(fromMessy.phi(i)).foreach { case (a, b) => assert(math.abs(a - b) < 1e-6, s"phi($i)") }
     }
     AnswerData.toDs(spark, messy).collect().foreach(r =>
-      assert(CpaCore.strictlyIncreasing(r.labels.toArray), r.toString))
+      assert(CpaCore.strictlyIncreasing(r.labels), r.toString))
   }
   test("AnswerData round-trips answers through a Dataset") {
     val back = AnswerData.toDs(spark, ds.answers).collect()
     assert(back.length == ds.answers.size)
     val orig = ds.answers.map(a => (a.item, a.worker) -> a.labels.toSeq).toMap
-    back.foreach(r => assert(orig((r.item, r.worker)) == r.labels))
+    back.foreach(r => assert(orig((r.item, r.worker)) == r.labels.toSeq))
   }
   test("SparkEngine candidate sets match the local candidate sets") {
     val localCand = repro.core.CpaCore.candidates(ds.answers, ds.nItems)
@@ -288,10 +301,12 @@ private final class PassShape extends SparkListener {
 
   def reset(): Unit = Seq(jobs, stages, shuffleWriteBytes).foreach(_.set(0))
 
-  override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+  override def onJobStart(e: SparkListenerJobStart): Unit = { jobs.incrementAndGet(); () }
 
-  override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit = stages.incrementAndGet()
+  override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit = { stages.incrementAndGet(); () }
 
   override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
-    if (e.taskMetrics != null) shuffleWriteBytes.addAndGet(e.taskMetrics.shuffleWriteMetrics.bytesWritten)
+    if (e.taskMetrics != null) {
+      shuffleWriteBytes.addAndGet(e.taskMetrics.shuffleWriteMetrics.bytesWritten); ()
+    }
 }

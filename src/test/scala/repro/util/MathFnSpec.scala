@@ -7,7 +7,7 @@ class MathFnSpec extends AnyFunSuite {
   private val eps = 1e-9
   // Deterministic property loop (scalatestplus is not available offline;
   // scalacheck generators are exercised via explicit seeded sampling).
-  private def forSamples(lo: Double, hi: Double, n: Int = 200)(body: Double => Unit): Unit = {
+  private def forSamples(lo: Double, hi: Double, n: Int = 200)(body: Double => org.scalatest.Assertion): Unit = {
     val rng = new scala.util.Random(7)
     (1 to n).foreach(_ => body(lo + rng.nextDouble() * (hi - lo)))
   }

@@ -6,7 +6,7 @@ class ParSpec extends AnyFunSuite {
   test("foreachRange visits every index exactly once") {
     val hits = new Array[java.util.concurrent.atomic.AtomicInteger](1000)
     (0 until 1000).foreach(i => hits(i) = new java.util.concurrent.atomic.AtomicInteger())
-    Par.foreachRange(1000)(i => hits(i).incrementAndGet())
+    Par.foreachRange(1000) { i => hits(i).incrementAndGet(); () }
     assert(hits.forall(_.get == 1))
   }
   test("foreachRange with n = 0 is a no-op") {
@@ -31,7 +31,7 @@ class ParSpec extends AnyFunSuite {
   }
   test("foreachRange handles n smaller than the chunk count") {
     val hits = new java.util.concurrent.atomic.AtomicInteger()
-    Par.foreachRange(3)(_ => hits.incrementAndGet())
+    Par.foreachRange(3) { _ => hits.incrementAndGet(); () }
     assert(hits.get == 3)
   }
 }
