@@ -21,16 +21,6 @@ object MajorityVote {
     }
   }
 
-  /** Per-label acceptance probabilities (vote ratios) — used by tests and by
-    * sparsity experiments. Returns (item, label) -> ratio.
-    */
-  def voteRatios(answers: Seq[Answer]): Map[(Int, Int), Double] = {
-    answers.groupBy(_.item).flatMap { case (item, as) =>
-      val n = as.size.toDouble
-      as.flatMap(_.labels).groupBy(identity).map { case (c, vs) => (item, c) -> vs.size / n }
-    }
-  }
-
   /** Spark SQL implementation over an answers DataFrame with columns
     * (item: Int, worker: Int, labels: Array[Int]). Output: (item, labels)
     * where labels is the sorted majority label set (items whose every label

@@ -1,11 +1,17 @@
 package repro.core
 
+import repro.crowd.Answer
+
+import scala.reflect.ClassTag
+
 /** Data-pass abstraction for CPA inference (the MAP/REDUCE split of
-  * Algorithm 3). The VI loop in [[CpaVi]] is engine-agnostic: the local
-  * engine iterates a `Seq[Answer]` on the driver, the Spark engine
-  * ([[repro.spark.CpaSpark]]) distributes the same per-answer kernels over
-  * executors. Both call the identical [[CpaCore]] functions, so results
-  * match up to floating-point summation order.
+  * Algorithm 3). The VI loop in [[CpaVi]] is engine-agnostic. The engines
+  * of the program are [[PartitionedEngine]]s: the local engine folds a
+  * `Seq[Answer]` on the driver as one partition, the Spark engine
+  * ([[repro.spark.CpaSpark]]) folds each partition of cached answers in a
+  * task. Both run the same passes and merge the partitions' results in
+  * partition order, so two engines that split the same answers into the same
+  * contiguous partitions give bit-identical fits.
   */
 trait CpaEngine {
 
@@ -48,39 +54,85 @@ trait CpaEngine {
       phi: Array[Array[Double]]): Array[Double]
 }
 
-/** Driver-local engine over an in-memory answer list: the whole answer set
-  * of a [[CpaVi]] fit, or one batch of a [[CpaSvi]] stream. Every pass folds
-  * the answers in list order through its [[CpaCore]] kernel.
+/** The four passes of a [[CpaEngine]], written once over answers split into
+  * partitions. Each pass folds every partition's answers through its
+  * [[CpaCore]] kernel ([[eachPartition]]) and merges the partials in
+  * partition order, starting from the pass's zero when there are no
+  * partitions:
+  *  - candidates: the sorted union of the partitions' label sets per item;
+  *  - κ: partition 0 folds each worker's logits from E[ln π], later
+  *    partitions from zero; the merge adds a later partition's row onto the
+  *    worker's row, starting a worker first seen after partition 0 at
+  *    E[ln π]. With one partition this is the fold of all answers from E[ln π];
+  *  - statistics and the λ bootstrap: the partitions' sums, added in order.
+  * So the merged values depend only on how the answers are split into
+  * contiguous partitions, not on which engine folds them.
   */
-final class LocalEngine(answers: Seq[repro.crowd.Answer]) extends CpaEngine {
-  override def nAnswers: Long = answers.size.toLong
+abstract class PartitionedEngine extends CpaEngine {
 
-  override def meanAnswerSize: Double = CpaCore.meanAnswerSize(answers)
+  /** `kernel(in, p, answers of partition p)` for every partition p, in
+    * partition order. The kernels of this class capture only `Int`s: every
+    * array they read comes through `in`.
+    */
+  protected def eachPartition[In: ClassTag, Out: ClassTag](in: In)(
+      kernel: (In, Int, Iterator[Answer]) => Out): Array[Out]
 
   override def candidates(nItems: Int): Array[Array[Int]] =
-    CpaCore.candidates(answers, nItems)
+    eachPartition(nItems)((n, _, it) => CpaCore.candidates(it, n))
+      .reduceLeftOption { (acc, more) =>
+        acc.indices.foreach(i => if (more(i).nonEmpty) acc(i) = (acc(i) ++ more(i)).distinct.sorted)
+        acc
+      }.getOrElse(Array.fill(nItems)(Array.emptyIntArray))
 
   override def computeKappa(kappa: Array[Array[Double]], phi: Array[Array[Double]],
-      d: CpaCore.Derived): Array[Array[Double]] =
-    CpaCore.kappaFromLogits(kappa,
-      CpaCore.kappaLogits(answers.iterator, kappa.length, phi, d.dlam)(d.elnPi.clone()))
+      d: CpaCore.Derived): Array[Array[Double]] = {
+    val U = kappa.length
+    val M = d.elnPi.length
+    val logits = eachPartition((phi, d.dlam, d.elnPi)) { case ((phi, dlam, elnPi), p, it) =>
+      CpaCore.kappaLogits(it, U, phi, dlam)(if (p == 0) elnPi.clone() else new Array[Double](M))
+    }.reduceLeftOption { (acc, more) =>
+      more.indices.foreach { u =>
+        if (more(u) != null) {
+          if (acc(u) == null) acc(u) = d.elnPi.clone()
+          CpaCore.addInto(acc(u), more(u))
+        }
+      }
+      acc
+    }.getOrElse(new Array[Array[Double]](U))
+    CpaCore.kappaFromLogits(kappa, logits)
+  }
 
   override def computeStats(T: Int, M: Int, C: Int, I: Int,
       kappa: Array[Array[Double]], phi: Array[Array[Double]],
       cand: Array[Array[Int]], yhat: Array[Array[Double]],
-      d: CpaCore.Derived, sensMc: Array[Double], fpMc: Array[Double]): CpaCore.SuffStats = {
-    val st = CpaCore.emptyStats(T, M, C, I)
-    answers.foreach { a =>
-      CpaCore.accumulate(st, a, kappa(a.worker), phi(a.item), d.dlam,
-        cand(a.item), yhat(a.item), sensMc, fpMc)
-    }
-    st
-  }
+      d: CpaCore.Derived, sensMc: Array[Double], fpMc: Array[Double]): CpaCore.SuffStats =
+    eachPartition((kappa, phi, cand, yhat, d.dlam, sensMc, fpMc)) {
+      case ((kappa, phi, cand, yhat, dlam, sensMc, fpMc), _, it) =>
+        val st = CpaCore.emptyStats(T, M, C, I)
+        it.foreach(a => CpaCore.accumulate(st, a, kappa(a.worker), phi(a.item), dlam,
+          cand(a.item), yhat(a.item), sensMc, fpMc))
+        st
+    }.reduceLeftOption(_ merge _).getOrElse(CpaCore.emptyStats(T, M, C, I))
 
   override def bootstrapLambda(T: Int, M: Int, C: Int,
-      kappa: Array[Array[Double]], phi: Array[Array[Double]]): Array[Double] = {
-    val stat = new Array[Double](T * M * C)
-    answers.foreach(a => CpaCore.accumulateLambda(stat, a.labels, phi(a.item), kappa(a.worker), C))
-    stat
-  }
+      kappa: Array[Array[Double]], phi: Array[Array[Double]]): Array[Double] =
+    eachPartition((kappa, phi)) { case ((kappa, phi), _, it) =>
+      val stat = new Array[Double](T * M * C)
+      it.foreach(a => CpaCore.accumulateLambda(stat, a.labels, phi(a.item), kappa(a.worker), C))
+      stat
+    }.reduceLeftOption { (x, y) => CpaCore.addInto(x, y); x }.getOrElse(new Array[Double](T * M * C))
+}
+
+/** Driver-local engine over an in-memory answer list: the whole answer set
+  * of a [[CpaVi]] fit, or one batch of a [[CpaSvi]] stream. It is one
+  * partition, folded in list order.
+  */
+final class LocalEngine(answers: Seq[Answer]) extends PartitionedEngine {
+  override def nAnswers: Long = answers.size.toLong
+
+  override def meanAnswerSize: Double = CpaCore.meanAnswerSize(answers)
+
+  override protected def eachPartition[In: ClassTag, Out: ClassTag](in: In)(
+      kernel: (In, Int, Iterator[Answer]) => Out): Array[Out] =
+    Array(kernel(in, 0, answers.iterator))
 }

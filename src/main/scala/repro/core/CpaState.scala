@@ -26,7 +26,8 @@ final class CpaState(cfg: CpaConfig, nItems: Int, nWorkers: Int, nLabels: Int,
   val yhat: Array[Array[Double]] = cand.map(r => Array.fill(r.length)(Double.NaN))
   private val ySize = new Array[Double](nItems)
   private[core] val nAns = new Array[Double](nItems)
-  private val pinned = new Array[Boolean](nItems)
+  /** The known label set of each item pinned by [[pinTruth]], null for the others. */
+  private val known = new Array[Array[Int]](nItems)
   /** The vote rows the truth layer reads; null for items without answers. */
   var llr: Array[Array[Double]] = new Array[Array[Double]](nItems)
   private var nAnswersSeen = 0L
@@ -91,16 +92,24 @@ final class CpaState(cfg: CpaConfig, nItems: Int, nWorkers: Int, nLabels: Int,
       cand(i) = CpaState.inserted(cand(i), j, c)
       votes(i) = CpaState.inserted(votes(i), j, 0)
       yhat(i) = CpaState.inserted(yhat(i), j, Double.NaN)
-      llr(i) = CpaState.inserted(llr(i), j, 0.0)
+      if (llr(i) != null) llr(i) = CpaState.inserted(llr(i), j, 0.0)
       j
     }
   }
 
-  /** Pin item `i`'s soft truth to the observed label set `labels` (Eq 7 with y). */
+  /** Pin item `i`'s soft truth to the observed label set `labels` (Eq 7 with
+    * y): a known label nobody voted is inserted into the item's rows, ŷ is 1
+    * on the known labels and 0 on the others, the truth step leaves the item
+    * as is and its model predicts `labels`.
+    */
   def pinTruth(i: Int, labels: Array[Int]): Unit = {
-    yhat(i) = cand(i).map(c => if (labels.contains(c)) 1.0 else 0.0)
+    val ys = labels.distinct.sorted
+    require(ys.forall(c => c >= 0 && c < nLabels),
+      s"known labels of item $i must lie in [0, $nLabels): ${labels.mkString(",")}")
+    ys.foreach(slotOf(i, _))
+    yhat(i) = cand(i).map(c => if (ys.contains(c)) 1.0 else 0.0)
     ySize(i) = yhat(i).sum
-    pinned(i) = true
+    known(i) = ys
   }
 
   /** One CPA step with rate `omega`, in the order of Hoffman et al. (2013,
@@ -129,7 +138,7 @@ final class CpaState(cfg: CpaConfig, nItems: Int, nWorkers: Int, nLabels: Int,
     if (!cfg.noL) items.foreach { i =>
       dPhi += CpaCore.blend(phi(i), CpaCore.phiRow(i, st.aIt, cand(i), yhat(i), d), omega)
     }
-    val truthItems = items.filterNot(pinned(_))
+    val truthItems = items.filter(known(_) == null)
     val dY = CpaCore.truthStep(truthItems, cand, yhat, phi, truth)
     truthItems.foreach(i => ySize(i) = yhat(i).sum)
     globalStep(omega, st.lamStat, engine.nAnswers, items, workers)
@@ -156,7 +165,7 @@ final class CpaState(cfg: CpaConfig, nItems: Int, nWorkers: Int, nLabels: Int,
   def toModel(iterations: Int): CpaModel = {
     def copy(rows: Array[Array[Double]]) = rows.map(r => if (r == null) null else r.clone())
     new CpaModel(cfg, nItems, nWorkers, nLabels, g.copyOf(), copy(kappa), copy(phi),
-      cand.map(_.clone()), copy(yhat),
+      cand.map(_.clone()), copy(yhat), known.clone(),
       CpaCore.truthLayer(g, phi, ySize, meanAnswerSize, copy(llr), nAns.clone()),
       sensMc.clone(), fpMc.clone(), iterations)
   }

@@ -16,6 +16,7 @@ final class CpaModel(
     val phi: Array[Array[Double]],
     val cand: Array[Array[Int]],
     val yhat: Array[Array[Double]],
+    val known: Array[Array[Int]],
     val lastStats: CpaCore.TruthLayer,
     val sensMc: Array[Double],
     val fpMc: Array[Double],
@@ -27,7 +28,8 @@ final class CpaModel(
   /** Most likely item cluster (argmax q(l_i)). */
   def clusterOf(i: Int): Int = phi(i).indexOf(phi(i).max)
 
-  /** Greedy MAP instantiation (§3.4) for one item.
+  /** Greedy MAP instantiation (§3.4) for one item; an item whose labels
+    * are known (`known(i)`, pinned by `knownY`) predicts them.
     *
     * Candidate labels are the item's voted labels plus any label with a high
     * inclusion prior in a cluster the item plausibly belongs to (this is how
@@ -36,7 +38,7 @@ final class CpaModel(
     * score while the joint objective increases — for the Bernoulli-product
     * form this is exactly "include while score > 0.5" (see DESIGN.md §2).
     */
-  def predictItem(i: Int): Array[Int] = {
+  def predictItem(i: Int): Array[Int] = if (known(i) != null) known(i).clone() else {
     val T = phi(i).length
     val extra = scala.collection.mutable.SortedSet.empty[Int]
     var t = 0
@@ -92,9 +94,8 @@ object CpaVi {
     * answer counts and the mean answer size. Every answer's item and worker
     * ids must lie within [0, nItems) and [0, nWorkers), and its labels must
     * be strictly increasing within [0, nLabels). `knownY` pins the soft truth ŷ of the
-    * given items to their observed labels (Eq 7 with y);
-    * [[CpaModel.predictItem]] does not read ŷ, so a known item's predicted
-    * set still comes from its votes.
+    * given items to their observed labels (Eq 7 with y), voted or not, and
+    * the model predicts those labels for them ([[CpaState.pinTruth]]).
     */
   def fitEngine(engine: CpaEngine, initAnswers: Seq[Answer],
       nItems: Int, nWorkers: Int, nLabels: Int,

@@ -13,14 +13,14 @@ object AnswerData {
   def normalise(a: Answer): Answer =
     if (CpaCore.strictlyIncreasing(a.labels)) a else a.copy(labels = a.labels.distinct.sorted)
 
-  private val Partitions = 8
-
   /** Answers as a typed Dataset (item, worker, labels array<int>); labels are
-    * stored sorted and distinct.
+    * stored sorted and distinct. Its partitions are contiguous slices of
+    * `answers` in order, min(|answers|, default parallelism) of them (none
+    * without answers): partition p holds answers [p·n/P, (p+1)·n/P).
     */
   def toDs(spark: SparkSession, answers: Seq[Answer]): Dataset[Answer] = {
     import spark.implicits._
-    spark.createDataset(answers.map(normalise)).repartition(Partitions)
+    spark.createDataset(answers.map(normalise))
   }
 
   /** Answers as an untyped DataFrame (item, worker, labels). */

@@ -24,13 +24,6 @@ class MajorityVoteSpec extends SparkSpec {
       Answer(0, 0, Array(1)), Answer(0, 1, Array(2))))
     assert(mv(0).isEmpty)
   }
-  test("vote ratios are the fraction of the item's answering workers") {
-    val ratios = MajorityVote.voteRatios(Seq(
-      Answer(0, 0, Array(1, 2)), Answer(0, 1, Array(1)), Answer(0, 2, Array(3))))
-    assert(math.abs(ratios((0, 1)) - 2.0 / 3.0) < 1e-12)
-    assert(math.abs(ratios((0, 2)) - 1.0 / 3.0) < 1e-12)
-    assert(math.abs(ratios((0, 3)) - 1.0 / 3.0) < 1e-12)
-  }
   test("items are aggregated independently") {
     val mv = MajorityVote.aggregate(Seq(
       Answer(0, 0, Array(1)), Answer(1, 0, Array(2)), Answer(1, 1, Array(2))))

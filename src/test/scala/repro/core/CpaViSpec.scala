@@ -61,6 +61,23 @@ class CpaViSpec extends AnyFunSuite {
       }
     }
   }
+  test("a grounded item predicts its known labels, voted or not") {
+    val known = (0 until ds.nItems by 4).map(i => i -> ds.truth(i).distinct.sorted).toMap
+    val unvoted = known.count { case (i, ys) => ys.exists(c => !model.cand(i).contains(c)) }
+    assert(unvoted > 0, "every known label is voted")
+    val m = CpaVi.fit(ds.answers, ds.nItems, ds.nWorkers, ds.nLabels, CpaConfig(), known)
+    known.foreach { case (i, ys) =>
+      assert(m.predictItem(i).sameElements(ys), s"item $i")
+      ys.foreach { c =>
+        val j = m.cand(i).indexOf(c)
+        assert(j >= 0 && m.yhat(i)(j) == 1.0, s"item $i label $c")
+      }
+    }
+    // An item without answers takes its known labels too.
+    val tiny = CpaVi.fit(Seq(Answer(0, 0, Array(1)), Answer(1, 1, Array(0, 2))), 3, 2, 3,
+      CpaConfig(maxIter = 3), Map(2 -> Array(2, 1)))
+    assert(tiny.predictItem(2).sameElements(Array(1, 2)) && tiny.cand(2).sameElements(Array(1, 2)))
+  }
   test("grounded items improve accuracy on the rest") {
     val known = (0 until ds.nItems by 4).map(i => i -> ds.truth(i)).toMap
     val m = CpaVi.fit(ds.answers, ds.nItems, ds.nWorkers, ds.nLabels, CpaConfig(), known)

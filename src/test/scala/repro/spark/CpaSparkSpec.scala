@@ -5,7 +5,7 @@ import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.repro.ListenerBusAccess
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted, SparkListenerTaskEnd}
 import repro.SparkSpec
-import repro.core.{CpaConfig, CpaCore, CpaModel, CpaState, CpaVi, LocalEngine, TinyAnswers}
+import repro.core.{CpaConfig, CpaCore, CpaModel, CpaState, CpaVi, LocalEngine, SlicedEngine, TinyAnswers}
 import repro.crowd.{Answer, Datasets, Metrics}
 
 class CpaSparkSpec extends SparkSpec {
@@ -15,11 +15,36 @@ class CpaSparkSpec extends SparkSpec {
   private lazy val dist = CpaSpark.fit(spark, ds.answers, ds.nItems, ds.nWorkers, ds.nLabels, cfg)
   private lazy val localEngine = new LocalEngine(ds.answers)
 
-  /** Run `body` with a Spark engine over the cached answers of `ds`. */
-  private def withSparkEngine[A](body: CpaSpark.SparkEngine => A): A = {
-    val data = AnswerData.toDs(spark, ds.answers).cache()
-    try body(new CpaSpark.SparkEngine(spark, data, ds.answers.size.toLong, localEngine.meanAnswerSize))
+  /** Run `body` with a Spark engine over the cached `answers` (those of `ds` by default). */
+  private def withSparkEngine[A](body: CpaSpark.SparkEngine => A, answers: Seq[Answer] = ds.answers): A = {
+    val data = AnswerData.toDs(spark, answers).cache()
+    try body(new CpaSpark.SparkEngine(spark, data, answers.size.toLong, CpaCore.meanAnswerSize(answers)))
     finally { data.unpersist(); () }
+  }
+
+  /** ϕ, κ, ŷ, ζ, λ per cluster, then the sticks and coins, as raw bits. */
+  private def bits(m: CpaModel) = {
+    val g = m.globals
+    (Seq(m.phi, m.kappa, m.yhat, g.zeta) ++ g.lambda :+ Array(g.rho1, g.rho2, g.ups1, g.ups2, m.sensMc, m.fpMc))
+      .map(_.map(_.map(java.lang.Double.doubleToRawLongBits).toSeq).toSeq)
+  }
+
+  /** (jobs, stages, shuffle bytes written) of each of `passes`, run in turn
+    * on one Spark engine over a fresh cache of `ds`'s answers.
+    */
+  private def passShapes(passes: (CpaSpark.SparkEngine => Any)*): Seq[(Long, Long, Long)] = {
+    val sc = spark.sparkContext
+    val shape = new PassShape
+    withSparkEngine { engine =>
+      sc.addSparkListener(shape)
+      try passes.map { pass =>
+        ListenerBusAccess.drain(sc)
+        shape.reset()
+        pass(engine)
+        ListenerBusAccess.drain(sc)
+        (shape.jobs.get, shape.stages.get, shape.shuffleWriteBytes.get)
+      } finally sc.removeSparkListener(shape)
+    }
   }
 
   /** The starting state of `CpaVi.fitEngine` on `ds`: every answer
@@ -63,16 +88,24 @@ class CpaSparkSpec extends SparkSpec {
 
   test("two Spark fits of the same answers are bit-identical") {
     val again = CpaSpark.fit(spark, ds.answers, ds.nItems, ds.nWorkers, ds.nLabels, cfg)
-    // ϕ, κ, ŷ, ζ, λ per cluster, then the sticks and coins, as raw bits.
-    def bits(m: CpaModel) = {
-      val g = m.globals
-      (Seq(m.phi, m.kappa, m.yhat, g.zeta) ++ g.lambda :+ Array(g.rho1, g.rho2, g.ups1, g.ups2, m.sensMc, m.fpMc))
-        .map(_.map(_.map(java.lang.Double.doubleToRawLongBits).toSeq).toSeq)
-    }
     assert(again.iterations == dist.iterations)
     val (a, b) = (bits(again), bits(dist))
     val differing = a.indices.filter(k => a(k) != b(k))
     assert(differing.isEmpty)
+  }
+  test("a Spark fit is bit-identical to a local fit over the same contiguous partitions") {
+    for ((answers, nItems, nWorkers, nLabels) <- Seq((ds.answers, ds.nItems, ds.nWorkers, ds.nLabels),
+        (Vector.empty[Answer], 4, 3, 5))) {
+      val P = withSparkEngine(_.answers.getNumPartitions, answers)
+      assert(P == math.min(answers.size, spark.sparkContext.defaultParallelism))
+      val onSpark = CpaSpark.fit(spark, answers, nItems, nWorkers, nLabels, cfg)
+      val sliced = CpaVi.fitEngine(new SlicedEngine(answers.toIndexedSeq, P), answers,
+        nItems, nWorkers, nLabels, cfg)
+      assert(onSpark.iterations == sliced.iterations)
+      val (a, b) = (bits(onSpark), bits(sliced))
+      val differing = a.indices.filter(k => a(k) != b(k))
+      assert(differing.isEmpty, s"$P partitions")
+    }
   }
   test("Spark engine converges in the same number of iterations as local") {
     assert(dist.iterations == local.iterations)
@@ -158,26 +191,20 @@ class CpaSparkSpec extends SparkSpec {
 
   test("computeKappa and computeStats each run one job of one stage and write no shuffle") {
     val in = passInputs
-    val sc = spark.sparkContext
-    val shape = new PassShape
-    withSparkEngine { engine =>
-      engine.candidates(ds.nItems) // materialises the cached answers
-      sc.addSparkListener(shape)
-      try {
-        def measure(pass: => Any): (Long, Long, Long) = {
-          ListenerBusAccess.drain(sc)
-          shape.reset()
-          pass
-          ListenerBusAccess.drain(sc)
-          (shape.jobs.get, shape.stages.get, shape.shuffleWriteBytes.get)
-        }
-        val kappaShape = measure(engine.computeKappa(in.kappa, in.phi, in.d))
-        assert(kappaShape == ((1L, 1L, 0L)), "computeKappa (jobs, stages, shuffle bytes)")
-        val statsShape = measure(engine.computeStats(in.g.T, in.g.M, in.g.C, ds.nItems,
-          in.kappa, in.phi, in.cand, in.yhat, in.d, in.sens, in.fp))
-        assert(statsShape == ((1L, 1L, 0L)), "computeStats (jobs, stages, shuffle bytes)")
-      } finally sc.removeSparkListener(shape)
-    }
+    val shapes = passShapes(
+      _.candidates(ds.nItems), // materialises the cached answers
+      _.computeKappa(in.kappa, in.phi, in.d),
+      _.computeStats(in.g.T, in.g.M, in.g.C, ds.nItems, in.kappa, in.phi, in.cand, in.yhat, in.d,
+        in.sens, in.fp))
+    assert(shapes(1) == ((1L, 1L, 0L)), "computeKappa (jobs, stages, shuffle bytes)")
+    assert(shapes(2) == ((1L, 1L, 0L)), "computeStats (jobs, stages, shuffle bytes)")
+  }
+
+  test("the candidates pass that fills a fresh cache and the λ bootstrap each run one job of one stage and write no shuffle") {
+    val s = startState()
+    val shapes = passShapes(_.candidates(ds.nItems), _.bootstrapLambda(s.g.T, s.g.M, s.g.C, s.kappa, s.phi))
+    assert(shapes(0) == ((1L, 1L, 0L)), "candidates on a fresh cache (jobs, stages, shuffle bytes)")
+    assert(shapes(1) == ((1L, 1L, 0L)), "bootstrapLambda (jobs, stages, shuffle bytes)")
   }
 
   test("a Spark fit on zero answers equals the local fit") {
