@@ -71,7 +71,7 @@ object FitDigest {
     h.hex
   }
 
-  def line(name: String, m: CpaModel): String =
+  private def line(name: String, m: CpaModel): String =
     s"fit $name state=${stateHash(m)} predictions=${predictionsHash(m)} iterations=${m.iterations}"
 
   def main(args: Array[String]): Unit = {
