@@ -92,21 +92,20 @@ final class CpaState(cfg: CpaConfig, nItems: Int, nWorkers: Int, nLabels: Int,
       cand(i) = CpaState.inserted(cand(i), j, c)
       votes(i) = CpaState.inserted(votes(i), j, 0)
       yhat(i) = CpaState.inserted(yhat(i), j, Double.NaN)
-      if (llr(i) != null) llr(i) = CpaState.inserted(llr(i), j, 0.0)
+      llr(i) = CpaState.inserted(llr(i), j, 0.0)
       j
     }
   }
 
   /** Pin item `i`'s soft truth to the observed label set `labels` (Eq 7 with
-    * y): a known label nobody voted is inserted into the item's rows, ŷ is 1
-    * on the known labels and 0 on the others, the truth step leaves the item
-    * as is and its model predicts `labels`.
+    * y): ŷ is 1 on the item's candidates in `labels` and 0 on the others, the
+    * truth step leaves the item as is and its model predicts `labels`. A
+    * known label no worker voted has no slot, so Eq 7 does not see it.
     */
   def pinTruth(i: Int, labels: Array[Int]): Unit = {
     val ys = labels.distinct.sorted
     require(ys.forall(c => c >= 0 && c < nLabels),
       s"known labels of item $i must lie in [0, $nLabels): ${labels.mkString(",")}")
-    ys.foreach(slotOf(i, _))
     yhat(i) = cand(i).map(c => if (ys.contains(c)) 1.0 else 0.0)
     ySize(i) = yhat(i).sum
     known(i) = ys

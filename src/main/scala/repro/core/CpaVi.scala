@@ -94,8 +94,9 @@ object CpaVi {
     * answer counts and the mean answer size. Every answer's item and worker
     * ids must lie within [0, nItems) and [0, nWorkers), and its labels must
     * be strictly increasing within [0, nLabels). `knownY` pins the soft truth ŷ of the
-    * given items to their observed labels (Eq 7 with y), voted or not, and
-    * the model predicts those labels for them ([[CpaState.pinTruth]]).
+    * given items to their observed labels (Eq 7 with y) on their candidate
+    * slots, and the model predicts those labels, voted or not
+    * ([[CpaState.pinTruth]]).
     */
   def fitEngine(engine: CpaEngine, initAnswers: Seq[Answer],
       nItems: Int, nWorkers: Int, nLabels: Int,
