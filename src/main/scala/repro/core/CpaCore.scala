@@ -2,6 +2,7 @@ package repro.core
 
 import repro.crowd.Answer
 import repro.util.MathFn._
+import repro.util.Par
 
 import scala.collection.mutable
 
@@ -313,11 +314,14 @@ object CpaCore {
     out
   }
 
-  /** Build the expectations the engine passes and [[phiRow]] read. */
+  /** Build the expectations the engine passes and [[phiRow]] read. The
+    * T·M rows of E[ln ψ] are independent, so they run in parallel.
+    */
   def derive(g: Globals): Derived = {
     val T = g.T; val M = g.M
-    new Derived(sticksElog(g.rho1, g.rho2), sticksElog(g.ups1, g.ups2),
-      Array.tabulate(T, M)((t, m) => dirElog(g.lambda(t)(m))),
+    val dlam = Array.ofDim[Array[Double]](T, M)
+    Par.foreachRange(T * M)(k => dlam(k / M)(k % M) = dirElog(g.lambda(k / M)(k % M)))
+    new Derived(sticksElog(g.rho1, g.rho2), sticksElog(g.ups1, g.ups2), dlam,
       Array.tabulate(T)(t => dirElog(g.zeta(t))))
   }
 
@@ -674,21 +678,17 @@ object CpaCore {
       items: Array[Int], phi: Array[Array[Double]], cand: Array[Array[Int]],
       yhat: Array[Array[Double]], itemScale: Double): Unit = {
     val T = g.T; val M = g.M; val C = g.C
-    val lamHat = new Array[Double](C)
-    var t = 0
-    while (t < T) {
-      var m = 0
-      while (m < M) {
-        val base = (t * M + m) * C
-        var c = 0
-        while (c < C) { lamHat(c) = cfg.lambda0 + ansScale * lamStat(base + c); c += 1 }
-        blend(g.lambda(t)(m), lamHat, omega)
-        m += 1
-      }
-      t += 1
+    // λ row (t, m) = k reads only lamStat's slots [k·C, (k+1)·C).
+    Par.foreachRange(T * M) { k =>
+      val lamHat = new Array[Double](C)
+      var c = 0
+      while (c < C) { lamHat(c) = cfg.lambda0 + ansScale * lamStat(k * C + c); c += 1 }
+      blend(g.lambda(k / M)(k % M), lamHat, omega)
+      ()
     }
     val zetaHat = Array.fill(T, C)(cfg.zeta0)
     val phiSum = new Array[Double](T)
+    var t = 0
     var k = 0
     while (k < items.length) {
       val i = items(k); val cd = cand(i); val yh = yhat(i)

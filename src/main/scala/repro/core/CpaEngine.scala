@@ -1,17 +1,19 @@
 package repro.core
 
 import repro.crowd.Answer
+import repro.util.Par
 
 import scala.reflect.ClassTag
 
 /** Data-pass abstraction for CPA inference (the MAP/REDUCE split of
   * Algorithm 3). The VI loop in [[CpaVi]] is engine-agnostic. The engines
-  * of the program are [[PartitionedEngine]]s: the local engine folds a
-  * `Seq[Answer]` on the driver as one partition, the Spark engine
-  * ([[repro.spark.CpaSpark]]) folds each partition of cached answers in a
-  * task. Both run the same passes and merge the partitions' results in
-  * partition order, so two engines that split the same answers into the same
-  * contiguous partitions give bit-identical fits.
+  * of the program are [[PartitionedEngine]]s: the local engine
+  * ([[LocalEngine]]) folds contiguous slices of a `Seq[Answer]` on the
+  * driver's thread pool, the Spark engine ([[repro.spark.CpaSpark]]) folds
+  * each partition of cached answers in a task. Both run the same passes and
+  * merge the partitions' results in partition order, so two engines that
+  * split the same answers into the same contiguous partitions give
+  * bit-identical fits.
   */
 trait CpaEngine {
 
@@ -124,15 +126,42 @@ abstract class PartitionedEngine extends CpaEngine {
 }
 
 /** Driver-local engine over an in-memory answer list: the whole answer set
-  * of a [[CpaVi]] fit, or one batch of a [[CpaSvi]] stream. It is one
-  * partition, folded in list order.
+  * of a [[CpaVi]] fit, or one batch of a [[CpaSvi]] stream. It cuts the
+  * n answers into min(n, `slices`) contiguous slices, slice p holding
+  * answers [p·n/P, (p+1)·n/P): the bounds of Spark's
+  * `ParallelCollectionRDD`, which [[repro.spark.AnswerData.toDs]] caches.
+  * The slices are folded at once on [[repro.util.Par]] (one slice runs
+  * inline) and merged in slice order, so a fit depends on `slices`, never on
+  * the core count, and equals a Spark fit over the same P partitions bit for
+  * bit. Without answers there are no slices, as in Spark.
   */
-final class LocalEngine(answers: Seq[Answer]) extends PartitionedEngine {
-  override def nAnswers: Long = answers.size.toLong
+final class LocalEngine(answers: Seq[Answer], slices: Int = LocalEngine.Slices) extends PartitionedEngine {
+  require(slices > 0 || (slices == 0 && answers.isEmpty), s"$slices slices for ${answers.size} answers")
+
+  private val indexed = answers.toIndexedSeq
+  private val n = indexed.size
+  private val P = math.min(n, slices)
+
+  override def nAnswers: Long = n.toLong
 
   override def meanAnswerSize: Double = CpaCore.meanAnswerSize(answers)
 
+  private def slice(p: Int): Iterator[Answer] =
+    indexed.view.slice((p.toLong * n / P).toInt, ((p + 1).toLong * n / P).toInt).iterator
+
   override protected def eachPartition[In: ClassTag, Out: ClassTag](in: In)(
-      kernel: (In, Int, Iterator[Answer]) => Out): Array[Out] =
-    Array(kernel(in, 0, answers.iterator))
+      kernel: (In, Int, Iterator[Answer]) => Out): Array[Out] = {
+    val out = new Array[Out](P)
+    Par.foreachRange(P)(p => out(p) = kernel(in, p, slice(p)))
+    out
+  }
+}
+
+object LocalEngine {
+
+  /** Slices of a [[CpaVi]] fit: a constant, so the fit is the same on any
+    * machine. It matches the four cores of the reference host and the
+    * `local[4]` Spark fits that `repro.tools.FitDigest` compares.
+    */
+  val Slices: Int = 4
 }

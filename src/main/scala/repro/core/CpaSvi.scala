@@ -8,7 +8,7 @@ import repro.crowd.Answer
   * Answers arrive as batches; each is registered ([[CpaState.register]],
   * which batch VI runs once over all answers) and runs one
   * [[CpaState.step]], the step of a [[CpaVi]] iteration, over a
-  * [[LocalEngine]] of the batch with learning rate ω_b = (1+b)^{-r}
+  * one-slice [[LocalEngine]] of the batch with learning rate ω_b = (1+b)^{-r}
   * (Eq 18-20): κ, ϕ and ŷ of the batch first, then the natural-gradient
   * global step from those updated locals (the local-then-global order of
   * Hoffman et al., 2013, Alg. 1). A batch covers only part of the answers
@@ -62,7 +62,9 @@ final class CpaSvi(
     batchIndex += 1
     val omega = math.pow(1.0 + batchIndex, -cfg.forgetRate)
     val batchItems = state.register(batch)
-    state.step(new LocalEngine(batch), omega, batchItems, batch.map(_.worker).distinct.toArray)
+    // One slice: a batch is small, and every slice would allocate a dense
+    // emptyStats(T, M, C, I) of its own.
+    state.step(new LocalEngine(batch, slices = 1), omega, batchItems, batch.map(_.worker).distinct.toArray)
     () // a stream has no convergence test: the step's residuals go unread
   }
 

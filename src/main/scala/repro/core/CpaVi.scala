@@ -81,7 +81,9 @@ final class CpaModel(
   */
 object CpaVi {
 
-  /** Fit CPA on a full answer matrix (driver-local engine). */
+  /** Fit CPA on a full answer matrix with the driver-local engine: its
+    * [[LocalEngine.Slices]] contiguous slices fold on the thread pool.
+    */
   def fit(answers: Seq[Answer], nItems: Int, nWorkers: Int, nLabels: Int,
       cfg: CpaConfig = CpaConfig(),
       knownY: Map[Int, Array[Int]] = Map.empty): CpaModel =

@@ -31,7 +31,8 @@ import scala.reflect.ClassTag
   *  3. The (small) global updates run on the driver.
   * [[AnswerData.toDs]] splits the answers into contiguous slices, so a Spark
   * fit is bit-identical, run after run, to a fit over any engine that folds
-  * the same slices through the same passes, [[LocalEngine]] for one slice.
+  * the same slices through the same passes: a [[LocalEngine]] of as many
+  * slices as the Dataset has partitions (four, the default, on `local[4]`).
   *
   * Prediction is one pass over the item ids: each task applies the greedy
   * MAP instantiation to its slice of items of the broadcast model

@@ -6,27 +6,41 @@ import scala.jdk.CollectionConverters._
 /** Minimal fixed-pool parallel loop for CPU-bound driver-local kernels
   * (scala-parallel-collections is not shipped with Scala 2.13 core and no
   * extra artifacts resolve offline). Work is split into contiguous index
-  * ranges; the body must only write to disjoint per-index state.
+  * ranges. The result equals a sequential loop's bit for bit only when the
+  * body writes disjoint per-index state and reads none that another index
+  * writes; then neither the split nor the thread schedule can move it.
+  *
+  * The pool has one thread per core, since the caller only blocks in
+  * `invokeAll`. A `foreachRange` called from a pool thread runs its body
+  * inline instead of queueing behind itself, so nesting cannot deadlock.
+  * The slice kernels of a [[repro.core.LocalEngine]] run on the pool, so
+  * they must not call `Par`: such a call gains no thread.
   */
 object Par {
-  private lazy val pool = Executors.newFixedThreadPool(
-    math.max(1, Runtime.getRuntime.availableProcessors - 1),
-    (r: Runnable) => { val t = new Thread(r, "repro-par"); t.setDaemon(true); t })
+  private final class PoolThread(r: Runnable) extends Thread(r, "repro-par")
+
+  private val Cores = math.max(1, Runtime.getRuntime.availableProcessors)
+
+  private lazy val pool = Executors.newFixedThreadPool(Cores,
+    (r: Runnable) => { val t = new PoolThread(r); t.setDaemon(true); t })
 
   /** Run `body(i)` for i in [0, n) across the pool; blocks until done. */
-  def foreachRange(n: Int)(body: Int => Unit): Unit = {
-    if (n <= 0) return
-    val chunks = math.min(n, math.max(1, Runtime.getRuntime.availableProcessors - 1) * 4)
-    val step = (n + chunks - 1) / chunks
-    val tasks = (0 until n by step).map { lo =>
-      new Callable[Unit] {
-        def call(): Unit = {
-          var i = lo
-          val hi = math.min(n, lo + step)
-          while (i < hi) { body(i); i += 1 }
+  def foreachRange(n: Int)(body: Int => Unit): Unit =
+    if (n == 1 || Thread.currentThread.isInstanceOf[PoolThread]) {
+      var i = 0
+      while (i < n) { body(i); i += 1 }
+    } else if (n > 1) {
+      val chunks = math.min(n, Cores * 4)
+      val step = (n + chunks - 1) / chunks
+      val tasks = (0 until n by step).map { lo =>
+        new Callable[Unit] {
+          def call(): Unit = {
+            var i = lo
+            val hi = math.min(n, lo + step)
+            while (i < hi) { body(i); i += 1 }
+          }
         }
       }
+      pool.invokeAll(tasks.asJava).asScala.foreach(_.get())
     }
-    pool.invokeAll(tasks.asJava).asScala.foreach(_.get())
-  }
 }

@@ -386,4 +386,28 @@ class CpaCoreSpec extends AnyFunSuite {
       Array.tabulate(g.T)(t => itemScale * items.map(phi(_)(t)).sum), cfg.eps)
     assertClose(g.ups1, mix(before.ups1, u1), "ups1"); assertClose(g.ups2, mix(before.ups2, u2), "ups2")
   }
+
+  test("derive and updateGlobals equal a sequential row loop bit for bit at entity's T×M×C") {
+    // entity: 2400 items, 517 workers, 1450 labels; T = 30, M = 12 by default.
+    val cfg = CpaConfig()
+    val g = initGlobals(cfg, 2400, 517, 1450)
+    val (t0, m0, c0) = (g.T, g.M, g.C)
+    assert(t0 * m0 * c0 == 30 * 12 * 1450)
+    val rng = new scala.util.Random(5)
+    val lamStat = Array.fill(t0 * m0 * c0)(if (rng.nextDouble() < 0.9) 0.0 else 10 * rng.nextDouble())
+    val omega = 0.3; val ansScale = 1.7
+    def raw(rows: Array[Array[Array[Double]]]) =
+      rows.map(_.map(_.map(java.lang.Double.doubleToRawLongBits).toSeq).toSeq).toSeq
+
+    val expected = g.copyOf()
+    for (t <- 0 until t0; m <- 0 until m0)
+      blend(expected.lambda(t)(m),
+        Array.tabulate(c0)(c => cfg.lambda0 + ansScale * lamStat((t * m0 + m) * c0 + c)), omega)
+    updateGlobals(g, cfg, omega, lamStat, ansScale, Array.emptyIntArray, Array.empty, 1.0,
+      Array.emptyIntArray, Array.empty, Array.empty, Array.empty, 1.0)
+    assert(raw(g.lambda) == raw(expected.lambda))
+
+    val d = derive(g)
+    assert(raw(d.dlam) == raw(Array.tabulate(t0, m0)((t, m) => dirElog(g.lambda(t)(m)))))
+  }
 }

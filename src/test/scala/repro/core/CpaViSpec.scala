@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines.MajorityVote
 import repro.crowd.CrowdSim.{Config, WorkerMix}
 import repro.crowd.{Answer, CrowdSim, Datasets, Metrics, WorkerType}
+import repro.tools.FitDigest
 
 class CpaViSpec extends AnyFunSuite {
   private lazy val ds = Datasets.generate("image", sf = 0.15)
@@ -16,6 +17,14 @@ class CpaViSpec extends AnyFunSuite {
     val a = CpaVi.fit(ds.answers, ds.nItems, ds.nWorkers, ds.nLabels)
     val b = CpaVi.fit(ds.answers, ds.nItems, ds.nWorkers, ds.nLabels)
     (0 until ds.nItems).foreach(i => assert(a.predictItem(i).sameElements(b.predictItem(i))))
+  }
+  test("20 fits of one replica are bit-identical, whatever the thread schedule") {
+    val state = FitDigest.stateHash(model)
+    (1 to 20).foreach { run =>
+      val again = CpaVi.fit(ds.answers, ds.nItems, ds.nWorkers, ds.nLabels)
+      assert(again.iterations == model.iterations, s"run $run")
+      assert(FitDigest.stateHash(again) == state, s"run $run")
+    }
   }
   test("cluster responsibilities stay normalised after convergence") {
     model.phi.foreach(row => assert(math.abs(row.sum - 1.0) < 1e-6))

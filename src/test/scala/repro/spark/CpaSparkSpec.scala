@@ -5,7 +5,7 @@ import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.repro.ListenerBusAccess
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted, SparkListenerTaskEnd}
 import repro.SparkSpec
-import repro.core.{CpaConfig, CpaCore, CpaModel, CpaState, CpaVi, LocalEngine, SlicedEngine, TinyAnswers}
+import repro.core.{CpaConfig, CpaCore, CpaModel, CpaState, CpaVi, LocalEngine, TinyAnswers}
 import repro.crowd.{Answer, Datasets, Metrics}
 
 class CpaSparkSpec extends SparkSpec {
@@ -99,7 +99,7 @@ class CpaSparkSpec extends SparkSpec {
       val P = withSparkEngine(_.answers.getNumPartitions, answers)
       assert(P == math.min(answers.size, spark.sparkContext.defaultParallelism))
       val onSpark = CpaSpark.fit(spark, answers, nItems, nWorkers, nLabels, cfg)
-      val sliced = CpaVi.fitEngine(new SlicedEngine(answers.toIndexedSeq, P), answers,
+      val sliced = CpaVi.fitEngine(new LocalEngine(answers, P), answers,
         nItems, nWorkers, nLabels, cfg)
       assert(onSpark.iterations == sliced.iterations)
       val (a, b) = (bits(onSpark), bits(sliced))

@@ -4,7 +4,7 @@ import java.nio.ByteBuffer
 import java.security.MessageDigest
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{CpaConfig, CpaModel, CpaSvi, CpaVi}
+import repro.core.{CpaConfig, CpaModel, CpaSvi, CpaVi, LocalEngine}
 import repro.crowd.{Answer, Datasets}
 import repro.spark.CpaSpark
 
@@ -21,7 +21,9 @@ import repro.spark.CpaSpark
   *   sbt "Test/runMain repro.tools.FitDigest" | grep -o 'fit .*'
   * }}}
   * The Spark fits run on `local[4]`, so their partitioning, and their bits,
-  * do not depend on the machine's core count.
+  * do not depend on the machine's core count; they equal the `vi` fits,
+  * whose [[LocalEngine]] cuts the same four slices. The `vi-1slice` fits
+  * fold all answers as one slice.
   */
 object FitDigest {
 
@@ -80,6 +82,8 @@ object FitDigest {
       val ds = Datasets.generate(name, sf = 0.15)
       val tag = s"$name/$cfgName"
       println(line(s"$tag/vi", CpaVi.fit(ds.answers, ds.nItems, ds.nWorkers, ds.nLabels, cfg)))
+      println(line(s"$tag/vi-1slice", CpaVi.fitEngine(new LocalEngine(ds.answers, 1), ds.answers,
+        ds.nItems, ds.nWorkers, ds.nLabels, cfg)))
       val known = (0 until ds.nItems by 4).map(i => i -> ds.truth(i)).toMap
       println(line(s"$tag/vi-knownY", CpaVi.fit(ds.answers, ds.nItems, ds.nWorkers, ds.nLabels, cfg, known)))
       for (seed <- 1L to 3L)

@@ -1,6 +1,13 @@
 package repro.util
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+
 import org.scalatest.funsuite.AnyFunSuite
+
+import scala.concurrent.ExecutionContext.Implicits.global
+import scala.concurrent.duration._
+import scala.concurrent.{Await, Future}
 
 class ParSpec extends AnyFunSuite {
   test("foreachRange visits every index exactly once") {
@@ -33,5 +40,23 @@ class ParSpec extends AnyFunSuite {
     val hits = new java.util.concurrent.atomic.AtomicInteger()
     Par.foreachRange(3) { _ => hits.incrementAndGet(); () }
     assert(hits.get == 3)
+  }
+  test("foreachRange runs one body per core at once") {
+    val n = Runtime.getRuntime.availableProcessors
+    val latch = new CountDownLatch(n)
+    val released = new AtomicInteger()
+    // Each body waits until all n have started: that can only happen if all run at once.
+    Par.foreachRange(n) { _ =>
+      latch.countDown()
+      if (latch.await(30, TimeUnit.SECONDS)) { released.incrementAndGet(); () }
+    }
+    assert(released.get == n)
+  }
+  test("a nested foreachRange completes and visits every index once") {
+    val n = 4 * Runtime.getRuntime.availableProcessors + 3
+    val hits = Array.fill(n * n)(new AtomicInteger())
+    val run = Future(Par.foreachRange(n)(i => Par.foreachRange(n) { j => hits(i * n + j).incrementAndGet(); () }))
+    Await.result(run, 60.seconds)
+    assert(hits.forall(_.get == 1))
   }
 }
