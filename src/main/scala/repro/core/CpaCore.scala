@@ -315,12 +315,12 @@ object CpaCore {
   }
 
   /** Build the expectations the engine passes and [[phiRow]] read. The
-    * T·M rows of E[ln ψ] are independent, so they run in parallel.
+    * T·M rows of E[ln ψ] are independent, so they run as parallel rows.
     */
   def derive(g: Globals): Derived = {
     val T = g.T; val M = g.M
     val dlam = Array.ofDim[Array[Double]](T, M)
-    Par.foreachRange(T * M)(k => dlam(k / M)(k % M) = dirElog(g.lambda(k / M)(k % M)))
+    Par.foreachRow(T * M, g.C)(k => dlam(k / M)(k % M) = dirElog(g.lambda(k / M)(k % M)))
     new Derived(sticksElog(g.rho1, g.rho2), sticksElog(g.ups1, g.ups2), dlam,
       Array.tabulate(T)(t => dirElog(g.zeta(t))))
   }
@@ -679,7 +679,7 @@ object CpaCore {
       yhat: Array[Array[Double]], itemScale: Double): Unit = {
     val T = g.T; val M = g.M; val C = g.C
     // λ row (t, m) = k reads only lamStat's slots [k·C, (k+1)·C).
-    Par.foreachRange(T * M) { k =>
+    Par.foreachRow(T * M, C) { k =>
       val lamHat = new Array[Double](C)
       var c = 0
       while (c < C) { lamHat(c) = cfg.lambda0 + ansScale * lamStat(k * C + c); c += 1 }

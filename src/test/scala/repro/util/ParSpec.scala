@@ -59,4 +59,15 @@ class ParSpec extends AnyFunSuite {
     Await.result(run, 60.seconds)
     assert(hits.forall(_.get == 1))
   }
+  test("foreachRow runs rows under MinGrain elements on the calling thread, larger ones on the pool") {
+    val caller = Thread.currentThread
+    def threads(n: Int, width: Int) = {
+      val seen = new Array[Thread](n)
+      Par.foreachRow(n, width)(r => seen(r) = Thread.currentThread)
+      seen.toSet
+    }
+    // SVI's λ: T·M = 360 rows of C = 60 labels; entity's: 360 rows of 1450.
+    assert(360 * 60 < Par.MinGrain && threads(360, 60) == Set(caller))
+    assert(360 * 1450 >= Par.MinGrain && !threads(360, 1450).contains(caller))
+  }
 }
