@@ -32,31 +32,26 @@ object Par {
     */
   val MinGrain: Int = 1 << 15
 
-  private def sequential(n: Int, body: Int => Unit): Unit = {
-    var i = 0
-    while (i < n) { body(i); i += 1 }
+  /** `body(i)` for i in [lo, hi), in order. */
+  private def run(lo: Int, hi: Int, body: Int => Unit): Unit = {
+    var i = lo
+    while (i < hi) { body(i); i += 1 }
   }
 
   /** `body(r)` for each of `n` rows of `width` elements: inline when the
     * rows hold fewer than [[MinGrain]] elements in all, else [[foreachRange]].
     */
   def foreachRow(n: Int, width: Int)(body: Int => Unit): Unit =
-    if (n.toLong * width < MinGrain) sequential(n, body) else foreachRange(n)(body)
+    if (n.toLong * width < MinGrain) run(0, n, body) else foreachRange(n)(body)
 
   /** Run `body(i)` for i in [0, n) across the pool; blocks until done. */
   def foreachRange(n: Int)(body: Int => Unit): Unit =
-    if (n == 1 || Thread.currentThread.isInstanceOf[PoolThread]) sequential(n, body)
+    if (n == 1 || Thread.currentThread.isInstanceOf[PoolThread]) run(0, n, body)
     else if (n > 1) {
       val chunks = math.min(n, Cores * 4)
       val step = (n + chunks - 1) / chunks
       val tasks = (0 until n by step).map { lo =>
-        new Callable[Unit] {
-          def call(): Unit = {
-            var i = lo
-            val hi = math.min(n, lo + step)
-            while (i < hi) { body(i); i += 1 }
-          }
-        }
+        new Callable[Unit] { def call(): Unit = run(lo, math.min(n, lo + step), body) }
       }
       pool.invokeAll(tasks.asJava).asScala.foreach(_.get())
     }
