@@ -678,13 +678,14 @@ object CpaCore {
       items: Array[Int], phi: Array[Array[Double]], cand: Array[Array[Int]],
       yhat: Array[Array[Double]], itemScale: Double): Unit = {
     val T = g.T; val M = g.M; val C = g.C
-    // λ row (t, m) = k reads only lamStat's slots [k·C, (k+1)·C).
+    // λ row (t, m) = k reads only lamStat's slots [k·C, (k+1)·C); the blend
+    // is `blend`'s, written in place against λ0 + scale·S.
     Par.foreachRow(T * M, C) { k =>
-      val lamHat = new Array[Double](C)
+      val x = g.lambda(k / M)(k % M)
       var c = 0
-      while (c < C) { lamHat(c) = cfg.lambda0 + ansScale * lamStat(k * C + c); c += 1 }
-      blend(g.lambda(k / M)(k % M), lamHat, omega)
-      ()
+      while (c < C) {
+        x(c) = (1 - omega) * x(c) + omega * (cfg.lambda0 + ansScale * lamStat(k * C + c)); c += 1
+      }
     }
     val zetaHat = Array.fill(T, C)(cfg.zeta0)
     val phiSum = new Array[Double](T)
