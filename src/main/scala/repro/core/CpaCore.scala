@@ -82,7 +82,10 @@ object CpaCore {
     * aggregation buffer.
     *
     * @param lamStat  flat T*M*C array: Σ_i ϕ_it κ_um x_iuc (Eq 6 increment)
-    * @param aIt      flat I*T array: a_it = Σ_{u∈U_i} Σ_m κ_um E[ln p(x_iu|ψ_tm)]
+    * @param aIt      per item, a row of T values (null until the item's first
+    *                 answer): aIt(i)(t) = a_it = Σ_{u∈U_i} Σ_m κ_um E[ln p(x_iu|ψ_tm)].
+    *                 Per-item rows, like `llr`, keep a pass's statistics the
+    *                 size of the answers it folds, not of the corpus
     * @param llr      per item, one row aligned slot for slot with the item's
     *                 sorted candidate labels (null until the item's first
     *                 answer): llr(i)(j) is the accumulated vote log-likelihood
@@ -104,22 +107,22 @@ object CpaCore {
     */
   final class SuffStats(
       val lamStat: Array[Double],
-      val aIt: Array[Double],
+      val aIt: Array[Array[Double]],
       val llr: Array[Array[Double]],
       val tpMc: Array[Double],
       val fpMc: Array[Double],
       val posMassMc: Array[Double],
       val negAdjMc: Array[Double],
       val ansMassM: Array[Double]) extends Serializable {
+    /** Add `o` into this buffer; a row `o` holds and this one does not is
+      * copied, so the buffers never share a row.
+      */
     def merge(o: SuffStats): SuffStats = {
       addInto(lamStat, o.lamStat)
-      addInto(aIt, o.aIt)
       var i = 0
       while (i < llr.length) {
-        val src = o.llr(i)
-        if (src != null) {
-          if (llr(i) == null) llr(i) = src.clone() else addInto(llr(i), src)
-        }
+        addRow(aIt, i, o.aIt(i))
+        addRow(llr, i, o.llr(i))
         i += 1
       }
       addInto(tpMc, o.tpMc); addInto(fpMc, o.fpMc)
@@ -129,8 +132,15 @@ object CpaCore {
     }
   }
 
+  /** rows(i) += src, copying `src` into a null row; a null `src` adds nothing. */
+  private def addRow(rows: Array[Array[Double]], i: Int, src: Array[Double]): Unit =
+    if (src != null) { if (rows(i) == null) rows(i) = src.clone() else addInto(rows(i), src) }
+
+  /** A zero buffer: the dense T·M·C λ-stat and coin statistics, and I-long
+    * arrays of null per-item rows.
+    */
   def emptyStats(T: Int, M: Int, C: Int, I: Int): SuffStats =
-    new SuffStats(new Array[Double](T * M * C), new Array[Double](I * T),
+    new SuffStats(new Array[Double](T * M * C), new Array[Array[Double]](I),
       new Array[Array[Double]](I),
       new Array[Double](M * C), new Array[Double](M * C),
       new Array[Double](M * C), new Array[Double](M * C), new Array[Double](M))
@@ -217,12 +227,32 @@ object CpaCore {
     val T = if (cfg.noL) nItems else math.min(cfg.T, nItems)
     val M = if (cfg.noZ) nWorkers else math.min(cfg.M, nWorkers)
     val rng = new scala.util.Random(cfg.seed)
-    val lambda = Array.fill(T, M, nLabels)(cfg.lambda0 * (1.0 + 0.01 * rng.nextDouble()))
-    val zeta = Array.fill(T, nLabels)(cfg.zeta0)
+    // The jitter is drawn in (t, m, c) order.
+    val lambda = Array.ofDim[Double](T, M, nLabels)
+    var t = 0
+    while (t < T) {
+      var m = 0
+      while (m < M) {
+        val row = lambda(t)(m)
+        var c = 0
+        while (c < nLabels) { row(c) = cfg.lambda0 * (1.0 + 0.01 * rng.nextDouble()); c += 1 }
+        m += 1
+      }
+      t += 1
+    }
     new Globals(T, M, nLabels,
-      Array.fill(M)(1.0), Array.fill(M)(cfg.alpha),
-      Array.fill(T)(1.0), Array.fill(T)(cfg.eps),
-      lambda, zeta)
+      filled(M, 1.0), filled(M, cfg.alpha),
+      filled(T, 1.0), filled(T, cfg.eps),
+      lambda, Array.fill(T)(filled(nLabels, cfg.zeta0)))
+  }
+
+  /** A fresh array of `n` copies of `x`, without boxing (`Array.fill` boxes
+    * every element of a `Double` array).
+    */
+  def filled(n: Int, x: Double): Array[Double] = {
+    val a = new Array[Double](n)
+    java.util.Arrays.fill(a, x)
+    a
   }
 
   /** Informative initialisation of the item-cluster responsibilities from
@@ -240,7 +270,7 @@ object CpaCore {
         if (votes(i)(j) > most) { most = votes(i)(j); top = cand(i)(j) }
         j += 1
       }
-      val row = Array.fill(T)(0.05 / T + 1e-4 * rng.nextDouble())
+      val row = jittered(T, 0.05 / T, 1e-4, rng)
       row(math.floorMod(top, T)) += 0.95
       normalise(row)
     }
@@ -254,10 +284,20 @@ object CpaCore {
   def initKappa(nWorkers: Int, M: Int, seed: Long): Array[Array[Double]] = {
     val rng = new scala.util.Random(seed + 1)
     Array.tabulate(nWorkers) { u =>
-      val row = Array.fill(M)(0.5 / M + 0.02 * rng.nextDouble())
+      val row = jittered(M, 0.5 / M, 0.02, rng)
       row(u % M) += 0.5
       normalise(row)
     }
+  }
+
+  /** `n` values base + scale·u, with u drawn from `rng` in index order; the
+    * jitter of the starting ϕ and κ rows, without boxing.
+    */
+  def jittered(n: Int, base: Double, scale: Double, rng: scala.util.Random): Array[Double] = {
+    val row = new Array[Double](n)
+    var k = 0
+    while (k < n) { row(k) = base + scale * rng.nextDouble(); k += 1 }
+    row
   }
 
   /** Candidate label set per item = labels voted by at least one worker. */
@@ -330,19 +370,29 @@ object CpaCore {
     * mode is undefined for concentrations < 1, so the mean is the robust
     * plug-in — documented deviation from the paper's "mode").
     *
-    * @param phi            current ϕ (I×T) and `yhatSize` the matching
-    *                       Σ_c ŷ_ic per item (I): n̄_t is their ϕ-weighted mean
+    * @param nbarNum        Σ_i ϕ_it·Σ_c ŷ_ic and `nbarDen` Σ_i ϕ_it per
+    *                       cluster (T each; [[nbarSums]] scans them): n̄_t is
+    *                       their quotient, the ϕ-weighted mean truth size
     * @param meanAnswerSize observed mean answer size, which bounds n̄
     */
-  def truthLayer(g: Globals, phi: Array[Array[Double]], yhatSize: Array[Double],
+  def truthLayer(g: Globals, nbarNum: Array[Double], nbarDen: Array[Double],
       meanAnswerSize: Double, llr: Array[Array[Double]], nAns: Array[Double]): TruthLayer = {
-    val T = g.T
-    val phiHat = Array.tabulate(T)(t => normalise(g.zeta(t)))
-
-    // Expected label-set size per cluster: ϕ-mass-weighted mean of Σ_c ŷ_ic.
-    // Anchor it to the observed mean answer size: worker answers are noisy
+    val phiHat = Array.tabulate(g.T)(t => normalise(g.zeta(t)))
+    // Anchor n̄ to the observed mean answer size: worker answers are noisy
     // size estimates of the truth; without this anchor the ŷ → ζ → n̄ → ŷ
     // loop can inflate without bound.
+    val cap = math.max(1.0, 1.3 * meanAnswerSize)
+    val floor = math.max(0.5, 0.7 * meanAnswerSize)
+    val nbar = Array.tabulate(g.T) { t =>
+      math.min(cap, math.max(floor, if (nbarDen(t) > 1e-9) nbarNum(t) / nbarDen(t) else 1.0))
+    }
+    new TruthLayer(phiHat, nbar, llr, nAns)
+  }
+
+  /** n̄'s sums (Σ_i ϕ_it·`yhatSize`(i), Σ_i ϕ_it) per cluster, scanned over
+    * every item in item order.
+    */
+  def nbarSums(phi: Array[Array[Double]], yhatSize: Array[Double], T: Int): (Array[Double], Array[Double]) = {
     val num = new Array[Double](T)
     val den = new Array[Double](T)
     var i = 0
@@ -351,13 +401,7 @@ object CpaCore {
       while (t < T) { num(t) += phi(i)(t) * yhatSize(i); den(t) += phi(i)(t); t += 1 }
       i += 1
     }
-    val cap = math.max(1.0, 1.3 * meanAnswerSize)
-    val floor = math.max(0.5, 0.7 * meanAnswerSize)
-    val nbar = Array.tabulate(T) { t =>
-      math.min(cap, math.max(floor, if (den(t) > 1e-9) num(t) / den(t) else 1.0))
-    }
-
-    new TruthLayer(phiHat, nbar, llr, nAns)
+    (num, den)
   }
 
   // ---------------------------------------------------------------------
@@ -469,6 +513,8 @@ object CpaCore {
     val M = kapU.length
     val C = dlam(0)(0).length
     // λ statistic (Eq 6) and a_it (answer term of the ϕ update / Eq 15).
+    var aRow = st.aIt(a.item)
+    if (aRow == null) { aRow = new Array[Double](T); st.aIt(a.item) = aRow }
     var t = 0
     while (t < T) {
       val pOld = phiRowOld(t)
@@ -491,7 +537,7 @@ object CpaCore {
         }
         m += 1
       }
-      st.aIt(a.item * T + t) += aContrib
+      aRow(t) += aContrib
       t += 1
     }
 
@@ -563,10 +609,12 @@ object CpaCore {
     */
   val YTermWeight: Double = 3.0
 
-  /** New ϕ row (item-cluster responsibilities) from a_it, the current soft
-    * truth, and E[ln τ]: ϕ_it ∝ exp(E[ln τ_t] + Σ_c ŷ_ic E[ln φ_tc] + a_it).
+  /** New ϕ row (item-cluster responsibilities) from the item's a_it row
+    * `aRow`, the current soft truth, and E[ln τ]:
+    * ϕ_it ∝ exp(E[ln τ_t] + Σ_c ŷ_ic E[ln φ_tc] + a_it). A null `aRow` (no
+    * answer in the pass) adds 0.0, as a zero row does.
     */
-  def phiRow(item: Int, aIt: Array[Double], cand: Array[Int], yhat: Array[Double],
+  def phiRow(aRow: Array[Double], cand: Array[Int], yhat: Array[Double],
       d: Derived): Array[Double] = {
     val T = d.elnTau.length
     val logits = new Array[Double](T)
@@ -576,7 +624,7 @@ object CpaCore {
       val el = d.elphi(t)
       var j = 0
       while (j < cand.length) { yTerm += yhat(j) * el(cand(j)); j += 1 }
-      logits(t) = d.elnTau(t) + YTermWeight * yTerm + aIt(item * T + t)
+      logits(t) = d.elnTau(t) + YTermWeight * yTerm + (if (aRow == null) 0.0 else aRow(t))
       t += 1
     }
     softmaxInPlace(logits)
@@ -687,7 +735,7 @@ object CpaCore {
         x(c) = (1 - omega) * x(c) + omega * (cfg.lambda0 + ansScale * lamStat(k * C + c)); c += 1
       }
     }
-    val zetaHat = Array.fill(T, C)(cfg.zeta0)
+    val zetaHat = Array.fill(T)(filled(C, cfg.zeta0))
     val phiSum = new Array[Double](T)
     var t = 0
     var k = 0

@@ -126,28 +126,37 @@ abstract class PartitionedEngine extends CpaEngine {
 }
 
 /** Driver-local engine over an in-memory answer list: the whole answer set
-  * of a [[CpaVi]] fit, or one batch of a [[CpaSvi]] stream. It cuts the
-  * n answers into min(n, `slices`) contiguous slices, slice p holding
-  * answers [p·n/P, (p+1)·n/P): the bounds of Spark's
+  * of a [[CpaVi]] fit, or one batch of a [[CpaSvi]] stream; both use
+  * [[LocalEngine.Slices]] slices by default. It copies the answers into an
+  * array and cuts its n answers into min(n, `slices`) contiguous slices,
+  * slice p holding answers [p·n/P, (p+1)·n/P): the bounds of Spark's
   * `ParallelCollectionRDD`, which [[repro.spark.AnswerData.toDs]] caches.
   * The slices are folded at once on [[repro.util.Par]] (one slice runs
-  * inline) and merged in slice order, so a fit depends on `slices`, never on
-  * the core count, and equals a Spark fit over the same P partitions bit for
-  * bit. Without answers there are no slices, as in Spark.
+  * inline), each walking its index range of the array, and merged in slice
+  * order, so a fit depends on `slices`, never on the core count, and equals
+  * a Spark fit over the same P partitions bit for bit. Without answers there
+  * are no slices, as in Spark.
   */
 final class LocalEngine(answers: Seq[Answer], slices: Int = LocalEngine.Slices) extends PartitionedEngine {
   require(slices > 0 || (slices == 0 && answers.isEmpty), s"$slices slices for ${answers.size} answers")
 
-  private val indexed = answers.toIndexedSeq
-  private val n = indexed.size
+  private val all: Array[Answer] = answers.toArray
+  private val n = all.length
   private val P = math.min(n, slices)
 
   override def nAnswers: Long = n.toLong
 
   override def meanAnswerSize: Double = CpaCore.meanAnswerSize(answers)
 
-  private def slice(p: Int): Iterator[Answer] =
-    indexed.view.slice((p.toLong * n / P).toInt, ((p + 1).toLong * n / P).toInt).iterator
+  private def slice(p: Int): Iterator[Answer] = new scala.collection.AbstractIterator[Answer] {
+    private var k = (p.toLong * n / P).toInt
+    private val end = ((p + 1).toLong * n / P).toInt
+    def hasNext: Boolean = k < end
+    def next(): Answer = {
+      if (k >= end) throw new NoSuchElementException(s"slice $p is exhausted")
+      val a = all(k); k += 1; a
+    }
+  }
 
   override protected def eachPartition[In: ClassTag, Out: ClassTag](in: In)(
       kernel: (In, Int, Iterator[Answer]) => Out): Array[Out] = {
@@ -159,9 +168,10 @@ final class LocalEngine(answers: Seq[Answer], slices: Int = LocalEngine.Slices) 
 
 object LocalEngine {
 
-  /** Slices of a [[CpaVi]] fit: a constant, so the fit is the same on any
-    * machine. It matches the four cores of the reference host and the
-    * `local[4]` Spark fits that `repro.tools.FitDigest` compares.
+  /** Slices of a [[CpaVi]] fit and of each [[CpaSvi]] batch: a constant, so
+    * a fit or a stream is the same on any machine. It matches the four cores
+    * of the reference host and the `local[4]` Spark fits that
+    * `repro.tools.FitDigest` compares.
     */
   val Slices: Int = 4
 }

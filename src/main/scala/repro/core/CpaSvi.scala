@@ -8,7 +8,8 @@ import repro.crowd.Answer
   * Answers arrive as batches; each is registered ([[CpaState.register]],
   * which batch VI runs once over all answers) and runs one
   * [[CpaState.step]], the step of a [[CpaVi]] iteration, over a
-  * one-slice [[LocalEngine]] of the batch with learning rate ω_b = (1+b)^{-r}
+  * [[LocalEngine]] of the batch (its [[LocalEngine.Slices]] slices, as for
+  * VI) with learning rate ω_b = (1+b)^{-r}
   * (Eq 18-20): κ, ϕ and ŷ of the batch first, then the natural-gradient
   * global step from those updated locals (the local-then-global order of
   * Hoffman et al., 2013, Alg. 1). A batch covers only part of the answers
@@ -17,7 +18,9 @@ import repro.crowd.Answer
   * the most recent parameter values are kept — the model is never
   * re-inferred from the full answer set, which is what makes the
   * accumulated runtime O(T1/B + T2) per batch instead of O(T1 + T2) per
-  * epoch (§4.3).
+  * epoch (§4.3). Every per-item term of a batch's step is the batch's: the
+  * pass keeps a_it and llr rows only for the batch's items, and n̄ comes
+  * from the state's running sums, moved by the batch items alone.
   *
   * Deviations from the paper's formulation (documented in DESIGN.md §2):
   * the natural-gradient step for a conjugate-exponential global G with prior
@@ -40,7 +43,7 @@ final class CpaSvi(
   private val state = new CpaState(cfg, nItems, nWorkers, nLabels,
       Array.fill(nItems)(Array.emptyIntArray), Nil)({ (_, _, T) =>
     val rng = new scala.util.Random(cfg.seed)
-    Array.fill(nItems)(repro.util.MathFn.normalise(Array.fill(T)(1.0 + 0.05 * rng.nextDouble())))
+    Array.fill(nItems)(repro.util.MathFn.normalise(CpaCore.jittered(T, 1.0, 0.05, rng)))
   })
 
   private var batchIndex = 0
@@ -62,9 +65,7 @@ final class CpaSvi(
     batchIndex += 1
     val omega = math.pow(1.0 + batchIndex, -cfg.forgetRate)
     val batchItems = state.register(batch)
-    // One slice: a batch is small, and every slice would allocate a dense
-    // emptyStats(T, M, C, I) of its own.
-    state.step(new LocalEngine(batch, slices = 1), omega, batchItems, batch.map(_.worker).distinct.toArray)
+    state.step(new LocalEngine(batch), omega, batchItems, batch.map(_.worker).distinct.toArray)
     () // a stream has no convergence test: the step's residuals go unread
   }
 

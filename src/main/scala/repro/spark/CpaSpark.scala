@@ -25,8 +25,9 @@ import scala.reflect.ClassTag
   *     `groupByKey` shuffle.
   *  2. MAP phase 2 + REDUCE: each partition accumulates its answers'
   *     sufficient statistics ([[CpaCore.accumulate]]: λ-statistic, a_it,
-  *     truth-layer votes, community coins) into one dense buffer, and the
-  *     driver merges the buffers — the "emit {κ_um, a_it} / accumulate"
+  *     truth-layer votes, community coins) into one buffer, with a_it and
+  *     vote rows only for the items it holds, and the driver merges the
+  *     buffers — the "emit {κ_um, a_it} / accumulate"
   *     structure of the paper's Algorithm 3.
   *  3. The (small) global updates run on the driver.
   * [[AnswerData.toDs]] splits the answers into contiguous slices, so a Spark

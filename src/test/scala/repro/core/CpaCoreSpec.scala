@@ -113,8 +113,10 @@ class CpaCoreSpec extends AnyFunSuite {
     * and the answer counts of all answers.
     */
   private def truthOf(g: Globals, phi: Array[Array[Double]], yhat: Array[Array[Double]],
-      st: SuffStats, meanAnswerSize: Double = 1.5): TruthLayer =
-    truthLayer(g, phi, yhat.map(_.sum), meanAnswerSize, st.llr, registered(answers, I).nAns)
+      st: SuffStats, meanAnswerSize: Double = 1.5): TruthLayer = {
+    val (num, den) = nbarSums(phi, yhat.map(_.sum), g.T)
+    truthLayer(g, num, den, meanAnswerSize, st.llr, registered(answers, I).nAns)
+  }
 
   test("derive produces finite expectations and cluster label distributions") {
     val (_, g, phi, _, _, yhat, d) = freshState()
@@ -153,7 +155,7 @@ class CpaCoreSpec extends AnyFunSuite {
     answers.foreach(a =>
       accumulate(st, a, kappa(a.worker), phi(a.item), d.dlam, cand(a.item), yhat(a.item), sens, fp))
     (0 until I).foreach { i =>
-      val row = phiRow(i, st.aIt, cand(i), yhat(i), d)
+      val row = phiRow(st.aIt(i), cand(i), yhat(i), d)
       assert(math.abs(row.sum - 1.0) < 1e-9)
     }
   }
@@ -202,8 +204,11 @@ class CpaCoreSpec extends AnyFunSuite {
       val p2 = stats(right)
       val merged = p1.merge(p2)
       whole.lamStat.zip(merged.lamStat).foreach { case (a, b) => assert(math.abs(a - b) < 1e-12) }
-      whole.aIt.zip(merged.aIt).foreach { case (a, b) => assert(math.abs(a - b) < 1e-12) }
-      (0 until I).foreach(i => assertClose(merged.llr(i), whole.llr(i), s"llr($i)"))
+      (0 until I).foreach { i =>
+        assert(merged.aIt(i).length == whole.aIt(i).length, s"aIt($i)")
+        whole.aIt(i).zip(merged.aIt(i)).foreach { case (a, b) => assert(math.abs(a - b) < 1e-12) }
+        assertClose(merged.llr(i), whole.llr(i), s"llr($i)")
+      }
       whole.ansMassM.zip(merged.ansMassM).foreach { case (a, b) => assert(math.abs(a - b) < 1e-12) }
     }
     // Merging into a side that never saw item 0 copies the row, not aliases it.
@@ -213,6 +218,36 @@ class CpaCoreSpec extends AnyFunSuite {
     q1.merge(q2)
     assert(q1.llr(0) ne q2.llr(0))
     assertClose(q1.llr(0), q2.llr(0), "llr(0)")
+  }
+
+  test("merging per-item a_it rows adds them in partition order and leaves unheld items null") {
+    // Floating-point addition is not associative: in partition order item 0
+    // sums to (1 + 1e16) − 1e16 = 0, in reverse order to (−1e16 + 1e16) + 1 = 1.
+    def part(rows: (Int, Array[Double])*) = {
+      val st = emptyStats(1, 1, 1, 3)
+      rows.foreach { case (i, r) => st.aIt(i) = r }
+      st
+    }
+    // Fresh buffers for each merge: merging adds into the first one.
+    def parts = Seq(part(0 -> Array(1.0), 1 -> Array(2.0)), part(0 -> Array(1e16)), part(0 -> Array(-1e16)))
+    val merged = parts.reduceLeft(_ merge _)
+    assert(merged.aIt(0).sameElements(Array(0.0)))
+    assert(parts.reverse.reduceLeft(_ merge _).aIt(0).sameElements(Array(1.0)))
+    assert(merged.aIt(1).sameElements(Array(2.0)) && merged.aIt(2) == null)
+    // A row only a later partition holds is copied, not aliased.
+    val later = part(1 -> Array(3.0))
+    val into = part(0 -> Array(1.0)).merge(later)
+    assert(into.aIt(1).sameElements(Array(3.0)) && (into.aIt(1) ne later.aIt(1)))
+  }
+
+  test("phiRow of a null a_it row equals phiRow of a zero row bit for bit") {
+    val (_, _, _, _, cand, yhat, d) = freshState()
+    (0 until I).foreach { i =>
+      val zero = phiRow(new Array[Double](d.elnTau.length), cand(i), yhat(i), d)
+      val none = phiRow(null, cand(i), yhat(i), d)
+      assert(zero.map(java.lang.Double.doubleToRawLongBits).sameElements(
+        none.map(java.lang.Double.doubleToRawLongBits)), s"item $i")
+    }
   }
 
   test("merging any two-way split equals the whole, and llr slots are per-(item, label) sums") {
@@ -267,12 +302,13 @@ class CpaCoreSpec extends AnyFunSuite {
       def close(x: Double, y: Double) = math.abs(x - y) < 1e-9
       (0 until nItems).forall { i =>
         val answered = as.exists(_.item == i)
-        (if (!answered) whole.llr(i) == null && merged.llr(i) == null
+        (if (!answered) whole.llr(i) == null && merged.llr(i) == null &&
+          whole.aIt(i) == null && merged.aIt(i) == null
         else whole.llr(i).length == cand(i).length &&
           cand(i).indices.forall(j =>
-            close(merged.llr(i)(j), whole.llr(i)(j)) && close(whole.llr(i)(j), naive((i, cand(i)(j))))))
+            close(merged.llr(i)(j), whole.llr(i)(j)) && close(whole.llr(i)(j), naive((i, cand(i)(j))))) &&
+          whole.aIt(i).length == g.T && whole.aIt(i).indices.forall(t => close(merged.aIt(i)(t), whole.aIt(i)(t))))
       } && whole.lamStat.indices.forall(k => close(merged.lamStat(k), whole.lamStat(k))) &&
-        whole.aIt.indices.forall(k => close(merged.aIt(k), whole.aIt(k))) &&
         whole.tpMc.indices.forall(k => close(merged.tpMc(k), whole.tpMc(k)) &&
           close(merged.fpMc(k), whole.fpMc(k)) && close(merged.negAdjMc(k), whole.negAdjMc(k))) &&
         kappaSplits

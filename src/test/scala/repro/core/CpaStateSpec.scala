@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.crowd.Answer
+import repro.crowd.{Answer, Datasets}
 
 class CpaStateSpec extends AnyFunSuite {
 
@@ -60,5 +60,76 @@ class CpaStateSpec extends AnyFunSuite {
     assert(s.yhat(1)(0) == CpaCore.sharpenedShare(1, 3) && s.yhat(1)(2) == CpaCore.sharpenedShare(2, 2))
     assert(s.nAns.sameElements(Array(0.0, 3.0)) && s.itemsSeen == 1 && s.meanAnswerSize == 4.0 / 3)
     assert(s.llr(0) == null && s.llr(1).sameElements(Array(0.0, 0.0, 0.0)))
+  }
+
+  private lazy val movie = Datasets.generate("movie", sf = 0.15)
+
+  /** An empty SVI-style state of `movie` and its answers in 10 batches. */
+  private def stream(): (CpaState, Seq[Seq[Answer]]) = {
+    val s = new CpaState(CpaConfig(), movie.nItems, movie.nWorkers, movie.nLabels,
+      Array.fill(movie.nItems)(Array.emptyIntArray), Nil)(CpaCore.initPhi(_, _, _, 5))
+    val shuffled = new scala.util.Random(3).shuffle(movie.answers.toVector)
+    (s, shuffled.grouped(shuffled.size / 10 + 1).toSeq)
+  }
+
+  /** Register `batch` and run the SVI step of batch number `b` over `engine`. */
+  private def sviStep(s: CpaState, b: Int, batch: Seq[Answer], engine: CpaEngine): Unit = {
+    val items = s.register(batch)
+    s.step(engine, math.pow(1.0 + b, -CpaConfig().forgetRate), items, batch.map(_.worker).distinct.toArray)
+    ()
+  }
+
+  test("a stream stepped on one-slice and four-slice batch engines agrees to 1e-9") {
+    val (one, batches) = stream()
+    val (four, _) = stream()
+    batches.zipWithIndex.foreach { case (batch, b) =>
+      sviStep(one, b + 1, batch, new LocalEngine(batch, 1))
+      sviStep(four, b + 1, batch, new LocalEngine(batch, 4))
+    }
+    def close(x: Array[Array[Double]], y: Array[Array[Double]], what: String) =
+      x.indices.foreach { r =>
+        assert(x(r).length == y(r).length, s"$what($r)")
+        x(r).indices.foreach(k => assert(math.abs(x(r)(k) - y(r)(k)) < 1e-9, s"$what($r)($k): ${x(r)(k)} vs ${y(r)(k)}"))
+      }
+    close(one.phi, four.phi, "phi")
+    close(one.yhat, four.yhat, "yhat")
+    close(one.kappa, four.kappa, "kappa")
+    one.g.lambda.indices.foreach(t => close(one.g.lambda(t), four.g.lambda(t), s"lambda($t)"))
+  }
+
+  /** The scan the running n̄ sums stand for. */
+  private def scanned(s: CpaState) = CpaCore.nbarSums(s.phi, s.yhat.map(_.sum), s.g.T)
+
+  test("the running n-bar sums equal a fresh scan after every batch of a stream with a pinned item") {
+    val (s, batches) = stream()
+    val pinned = batches.head.head.item
+    batches.zipWithIndex.foreach { case (batch, b) =>
+      sviStep(s, b + 1, batch, new LocalEngine(batch))
+      if (b == 2) s.pinTruth(pinned, movie.truth(pinned))
+      val ((num, den), (numScan, denScan)) = (s.nbarSums, scanned(s))
+      for ((run, scan, what) <- Seq((num, numScan, "num"), (den, denScan, "den")); t <- run.indices)
+        assert(math.abs(run(t) - scan(t)) <= 1e-12 * math.abs(scan(t)), s"batch $b $what($t): ${run(t)} vs ${scan(t)}")
+    }
+  }
+
+  test("a step over every item reads and leaves the n-bar sums of the scan, bit for bit") {
+    val cfg = CpaConfig()
+    val answers = movie.answers
+    def bits(x: Array[Double]) = x.map(java.lang.Double.doubleToRawLongBits).toSeq
+    val s = new CpaState(cfg, movie.nItems, movie.nWorkers, movie.nLabels,
+      CpaCore.candidates(answers, movie.nItems), answers)(CpaCore.initPhi(_, _, _, cfg.seed))
+    // Pinning shifts the running sums through other values, so their bits
+    // leave the scan's.
+    (0 until 8).foreach { i =>
+      (0 until 3).foreach(_ => s.pinTruth(i, s.cand(i)))
+      s.pinTruth(i, movie.truth(i))
+    }
+    val (num, den) = scanned(s)
+    val scanNbar = bits(CpaCore.truthLayer(s.g, num, den, s.meanAnswerSize, s.llr, s.nAns).nbar)
+    assert(bits(s.truthLayer(everyItem = false).nbar) != scanNbar, "the pins leave the sums' bits as they are")
+    assert(bits(s.truthLayer(everyItem = true).nbar) == scanNbar)
+    s.step(new LocalEngine(answers), 1.0, Array.range(0, movie.nItems), Array.range(0, movie.nWorkers))
+    val ((numRun, denRun), (numScan, denScan)) = (s.nbarSums, scanned(s))
+    assert(bits(numRun) == bits(numScan) && bits(denRun) == bits(denScan))
   }
 }

@@ -19,6 +19,16 @@ class CpaSviSpec extends AnyFunSuite {
     val b = CpaSvi.fit(ds.answers, ds.nItems, ds.nWorkers, ds.nLabels)
     (0 until ds.nItems).foreach(i => assert(a.predictItem(i).sameElements(b.predictItem(i))))
   }
+  test("two streams of the same batches are bit-identical, each batch folded on four slices") {
+    val batches = ds.answers.grouped(ds.answers.size / 10 + 1).toSeq
+    def stream() = {
+      val svi = new CpaSvi(CpaConfig(), ds.nItems, ds.nWorkers, ds.nLabels)
+      batches.foreach(svi.processBatch)
+      repro.tools.FitDigest.stateHash(svi.toModel)
+    }
+    assert(batches.forall(_.size >= LocalEngine.Slices))
+    assert(stream() == stream())
+  }
   test("different shuffle seeds change the arrival order but converge similarly") {
     val a = Metrics.evaluate(ds, CpaSvi.fit(ds.answers, ds.nItems, ds.nWorkers, ds.nLabels, seed = 1).predict())
     val b = Metrics.evaluate(ds, CpaSvi.fit(ds.answers, ds.nItems, ds.nWorkers, ds.nLabels, seed = 2).predict())

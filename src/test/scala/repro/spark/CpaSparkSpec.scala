@@ -182,8 +182,9 @@ class CpaSparkSpec extends SparkSpec {
     val onSpark = withSparkEngine(_.computeStats(t, m, c, nItems, in.kappa, in.phi, in.cand,
       in.yhat, in.d, in.sens, in.fp))
     assertClose(onDriver.lamStat, onSpark.lamStat, "lamStat")
-    assertClose(onDriver.aIt, onSpark.aIt, "aIt")
     (0 until nItems).foreach { i =>
+      assert((onDriver.aIt(i) == null) == (onSpark.aIt(i) == null), s"aIt($i) presence")
+      if (onDriver.aIt(i) != null) assertClose(onDriver.aIt(i), onSpark.aIt(i), s"aIt($i)")
       assert((onDriver.llr(i) == null) == (onSpark.llr(i) == null), s"llr($i) presence")
       if (onDriver.llr(i) != null) assertClose(onDriver.llr(i), onSpark.llr(i), s"llr($i)")
     }
