@@ -1,7 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.crowd.Answer
 
 /** Majority voting baseline ([17], [18] in the paper): each label is decided
@@ -19,26 +17,5 @@ object MajorityVote {
       as.foreach(_.labels.foreach(c => votes.update(c, votes.getOrElse(c, 0) + 1)))
       item -> votes.collect { case (c, v) if v / n > 0.5 => c }.toArray.sorted
     }
-  }
-
-  /** Spark SQL implementation over an answers DataFrame with columns
-    * (item: Int, worker: Int, labels: Array[Int]). Output: (item, labels)
-    * where labels is the sorted majority label set (items whose every label
-    * falls at or below the 0.5 ratio still appear, with an empty array).
-    */
-  def aggregateDf(answers: DataFrame): DataFrame = {
-    val perItem = answers.groupBy("item").agg(count(lit(1)).as("n_answers"))
-    val votes = answers
-      .select(col("item"), explode(col("labels")).as("label"))
-      .groupBy("item", "label")
-      .agg(count(lit(1)).as("votes"))
-    val accepted = votes
-      .join(perItem, "item")
-      .where(col("votes").cast("double") / col("n_answers") > 0.5)
-      .groupBy("item")
-      .agg(array_sort(collect_list(col("label"))).as("labels"))
-    perItem.select(col("item"))
-      .join(accepted, Seq("item"), "left")
-      .select(col("item"), coalesce(col("labels"), array().cast("array<int>")).as("labels"))
   }
 }

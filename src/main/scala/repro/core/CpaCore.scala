@@ -161,25 +161,6 @@ object CpaCore {
     j >= labels.length
   }
 
-  /** Reject any answer whose item or worker id is outside [0, nItems) or
-    * [0, nWorkers).
-    */
-  def requireValidIds(answers: Iterable[Answer], nItems: Int, nWorkers: Int): Unit =
-    answers.foreach { a =>
-      require(a.item >= 0 && a.item < nItems && a.worker >= 0 && a.worker < nWorkers,
-        s"$a: item id must be within [0, $nItems) and worker id within [0, $nWorkers)")
-    }
-
-  /** Reject any answer whose labels are not strictly increasing within
-    * [0, nLabels).
-    */
-  def requireValidLabels(answers: Iterable[Answer], nLabels: Int): Unit =
-    answers.foreach { a =>
-      val ls = a.labels
-      require(strictlyIncreasing(ls) && (ls.isEmpty || (ls(0) >= 0 && ls(ls.length - 1) < nLabels)),
-        s"$a: labels must be strictly increasing (sorted, distinct) within [0, $nLabels)")
-    }
-
   /** Starting community per-label two-coin rates, sensitivity and
     * false-positive rate: a neutral-but-honest start that makes the first
     * step behave like plain (unweighted) voting, like the EM baselines' init.
@@ -371,8 +352,8 @@ object CpaCore {
     * plug-in — documented deviation from the paper's "mode").
     *
     * @param nbarNum        Σ_i ϕ_it·Σ_c ŷ_ic and `nbarDen` Σ_i ϕ_it per
-    *                       cluster (T each; [[nbarSums]] scans them): n̄_t is
-    *                       their quotient, the ϕ-weighted mean truth size
+    *                       cluster (T each; [[CpaState]] keeps them running):
+    *                       n̄_t is their quotient, the ϕ-weighted mean truth size
     * @param meanAnswerSize observed mean answer size, which bounds n̄
     */
   def truthLayer(g: Globals, nbarNum: Array[Double], nbarDen: Array[Double],
@@ -387,21 +368,6 @@ object CpaCore {
       math.min(cap, math.max(floor, if (nbarDen(t) > 1e-9) nbarNum(t) / nbarDen(t) else 1.0))
     }
     new TruthLayer(phiHat, nbar, llr, nAns)
-  }
-
-  /** n̄'s sums (Σ_i ϕ_it·`yhatSize`(i), Σ_i ϕ_it) per cluster, scanned over
-    * every item in item order.
-    */
-  def nbarSums(phi: Array[Array[Double]], yhatSize: Array[Double], T: Int): (Array[Double], Array[Double]) = {
-    val num = new Array[Double](T)
-    val den = new Array[Double](T)
-    var i = 0
-    while (i < phi.length) {
-      var t = 0
-      while (t < T) { num(t) += phi(i)(t) * yhatSize(i); den(t) += phi(i)(t); t += 1 }
-      i += 1
-    }
-    (num, den)
   }
 
   // ---------------------------------------------------------------------
@@ -425,11 +391,13 @@ object CpaCore {
   }
 
   /** Eq 2: κ_u ∝ exp(logits_u) (terms constant in m dropped), in place on
-    * the non-null logit rows; a worker with null logits keeps a copy of their
-    * `kappa` row.
+    * the non-null logit rows; a worker with null logits keeps their `kappa`
+    * row itself, not a copy. κ rows are replaced, never written in place, so
+    * the new and old κ may share it, and a pass over a batch costs nothing
+    * per worker without answers there but the pointer.
     */
   def kappaFromLogits(kappa: Array[Array[Double]], logits: Array[Array[Double]]): Array[Array[Double]] =
-    Array.tabulate(kappa.length)(u => if (logits(u) == null) kappa(u).clone() else softmaxInPlace(logits(u)))
+    Array.tabulate(kappa.length)(u => if (logits(u) == null) kappa(u) else softmaxInPlace(logits(u)))
 
   /** Add one answer's Eq 2 term Σ_t ϕ_it Σ_{c ∈ labels} E[ln ψ_tmc] to the
     * worker's logits (M). The terms are additive over answers, so partial

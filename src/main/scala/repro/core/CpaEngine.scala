@@ -25,7 +25,9 @@ trait CpaEngine {
   def nAnswers: Long
   def meanAnswerSize: Double
 
-  /** Candidate labels per item (labels voted by at least one worker). */
+  /** Candidate labels per item (labels voted by at least one worker), which
+    * [[CpaVi.fitEngine]] checks against the rows it registers.
+    */
   def candidates(nItems: Int): Array[Array[Int]]
 
   /** MAP phase part 1 (Eq 2): fresh κ rows for every worker that has

@@ -6,7 +6,8 @@ import repro.crowd.Answer
   * (online / incremental learning, §4.1).
   *
   * Answers arrive as batches; each is registered ([[CpaState.register]],
-  * which batch VI runs once over all answers) and runs one
+  * the one way answers enter a fit, which batch VI runs once over all
+  * answers) and runs one
   * [[CpaState.step]], the step of a [[CpaVi]] iteration, over a
   * [[LocalEngine]] of the batch (its [[LocalEngine.Slices]] slices, as for
   * VI) with learning rate ω_b = (1+b)^{-r}
@@ -40,11 +41,8 @@ final class CpaSvi(
     val nLabels: Int) {
 
   // No answers have arrived yet: every item's rows start empty, ϕ near-uniform.
-  private val state = new CpaState(cfg, nItems, nWorkers, nLabels,
-      Array.fill(nItems)(Array.emptyIntArray), Nil)({ (_, _, T) =>
-    val rng = new scala.util.Random(cfg.seed)
-    Array.fill(nItems)(repro.util.MathFn.normalise(CpaCore.jittered(T, 1.0, 0.05, rng)))
-  })
+  private val state = new CpaState(cfg, nItems, nWorkers, nLabels)
+  state.startPhi(fromVotes = false)
 
   private var batchIndex = 0
 
@@ -55,16 +53,14 @@ final class CpaSvi(
   private[core] def votesOf(i: Int): Array[Int] = state.votesOf(i)
 
   /** Consume one batch of answers and perform a single SVI step. A batch
-    * with an out-of-range id or an invalid label set is rejected before any
-    * state changes.
+    * with an out-of-range id or an invalid label set is rejected by
+    * [[CpaState.register]] before any state changes.
     */
   def processBatch(batch: Seq[Answer]): Unit = {
     if (batch.isEmpty) return
-    CpaCore.requireValidIds(batch, nItems, nWorkers)
-    CpaCore.requireValidLabels(batch, nLabels)
+    val batchItems = state.register(batch)
     batchIndex += 1
     val omega = math.pow(1.0 + batchIndex, -cfg.forgetRate)
-    val batchItems = state.register(batch)
     state.step(new LocalEngine(batch), omega, batchItems, batch.map(_.worker).distinct.toArray)
     () // a stream has no convergence test: the step's residuals go unread
   }

@@ -90,28 +90,31 @@ object CpaVi {
     fitEngine(new LocalEngine(answers), answers, nItems, nWorkers, nLabels, cfg, knownY)
 
   /** Fit CPA with an explicit engine. `initAnswers` is the engine's answer
-    * set (`engine.nAnswers` answers), registered once on the driver into a
-    * [[CpaState]] built from the engine's candidates: it gives the vote
-    * counts behind the informative ϕ start and the starting ŷ, the per-item
-    * answer counts and the mean answer size. Every answer's item and worker
-    * ids must lie within [0, nItems) and [0, nWorkers), and its labels must
-    * be strictly increasing within [0, nLabels). `knownY` pins the soft truth ŷ of the
-    * given items to their observed labels (Eq 7 with y) on their candidate
-    * slots, and the model predicts those labels, voted or not
-    * ([[CpaState.pinTruth]]).
+    * set (`engine.nAnswers` answers), registered once on the driver into an
+    * empty [[CpaState]] ([[CpaState.register]], which rejects an answer
+    * whose ids lie outside [0, nItems) and [0, nWorkers) or whose labels are
+    * not strictly increasing within [0, nLabels), before any engine pass): it
+    * gives the candidate rows and vote counts behind the informative ϕ start
+    * and the starting ŷ, the per-item answer counts and the mean answer
+    * size. The engine's one candidates pass must give the registered rows.
+    * `knownY` pins the soft truth ŷ of the given items to their observed
+    * labels (Eq 7 with y) on their candidate slots, and the model predicts
+    * those labels, voted or not ([[CpaState.pinTruth]]).
     */
   def fitEngine(engine: CpaEngine, initAnswers: Seq[Answer],
       nItems: Int, nWorkers: Int, nLabels: Int,
       cfg: CpaConfig = CpaConfig(),
       knownY: Map[Int, Array[Int]] = Map.empty): CpaModel = {
     require(cfg.maxIter >= 1, "at least one VI iteration is required")
-    CpaCore.requireValidIds(initAnswers, nItems, nWorkers)
-    CpaCore.requireValidLabels(initAnswers, nLabels)
     require(engine.nAnswers == initAnswers.size,
       s"the engine holds ${engine.nAnswers} answers, initAnswers ${initAnswers.size}")
-    // The candidates hold every label of `initAnswers`: registering inserts nothing.
-    val s = new CpaState(cfg, nItems, nWorkers, nLabels, engine.candidates(nItems), initAnswers)(
-      CpaCore.initPhi(_, _, _, cfg.seed))
+    val s = new CpaState(cfg, nItems, nWorkers, nLabels)
+    s.register(initAnswers)
+    val engineCand = engine.candidates(nItems)
+    val differing = s.cand.indices.find(i => !java.util.Arrays.equals(engineCand(i), s.cand(i)))
+    require(differing.isEmpty,
+      s"the engine's candidate labels of item ${differing.getOrElse(-1)} differ from those of initAnswers")
+    s.startPhi(fromVotes = true)
     // Observed true labels override the soft estimate permanently (Eq 7 with y).
     knownY.foreach { case (i, ys) => s.pinTruth(i, ys) }
 

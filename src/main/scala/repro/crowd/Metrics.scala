@@ -1,8 +1,5 @@
 package repro.crowd
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-
 /** Set-based precision / recall of the paper (§5.1, Metrics).
   *
   * Per item i: P_i = |Y_i ∩ Y*_i| / |Y*_i| (correct predicted / predicted),
@@ -42,27 +39,5 @@ object Metrics {
       i += 1
     }
     PR(sp / ds.nItems, sr / ds.nItems)
-  }
-
-  /** DataFrame version: `truthDf` and `predDf` both have columns
-    * (item: Int, labels: Array[Int]); returns a 1-row DataFrame with columns
-    * (precision, recall). Items absent from `predDf` count as empty.
-    */
-  def evaluateDf(truthDf: DataFrame, predDf: DataFrame): DataFrame = {
-    val joined = truthDf.as("t")
-      .join(predDf.as("p"), col("t.item") === col("p.item"), "left")
-      .select(
-        col("t.labels").as("truth"),
-        coalesce(col("p.labels"), array().cast("array<int>")).as("pred"))
-    val withPr = joined.select(
-      when(size(col("pred")) === 0,
-        when(size(col("truth")) === 0, 1.0).otherwise(0.0))
-        .otherwise(size(array_intersect(col("pred"), col("truth"))).cast("double") / size(col("pred")))
-        .as("pi"),
-      when(size(col("truth")) === 0,
-        when(size(col("pred")) === 0, 1.0).otherwise(0.0))
-        .otherwise(size(array_intersect(col("pred"), col("truth"))).cast("double") / size(col("truth")))
-        .as("ri"))
-    withPr.agg(avg("pi").as("precision"), avg("ri").as("recall"))
   }
 }

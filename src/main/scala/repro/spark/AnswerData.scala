@@ -1,12 +1,10 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core.CpaCore
-import repro.crowd.{Answer, CrowdDataset}
+import repro.crowd.Answer
 
-/** Conversions between the driver-local answer representation and Spark
-  * DataFrames/Datasets.
-  */
+/** The driver-local answers as the Spark Dataset a [[CpaSpark]] fit reads. */
 object AnswerData {
 
   /** `a` with its labels sorted and distinct, as [[Answer]] documents them. */
@@ -21,21 +19,5 @@ object AnswerData {
   def toDs(spark: SparkSession, answers: Seq[Answer]): Dataset[Answer] = {
     import spark.implicits._
     spark.createDataset(answers.map(normalise))
-  }
-
-  /** Answers as an untyped DataFrame (item, worker, labels). */
-  def toDf(spark: SparkSession, answers: Seq[Answer]): DataFrame =
-    toDs(spark, answers).toDF()
-
-  /** Ground truth as a DataFrame (item, labels) for metric computation. */
-  def truthDf(spark: SparkSession, ds: CrowdDataset): DataFrame = {
-    import spark.implicits._
-    ds.truth.zipWithIndex.map { case (ls, i) => (i, ls.toSeq) }.toSeq.toDF("item", "labels")
-  }
-
-  /** A prediction map as a DataFrame (item, labels). */
-  def predictionsDf(spark: SparkSession, pred: Map[Int, Array[Int]]): DataFrame = {
-    import spark.implicits._
-    pred.toSeq.map { case (i, ls) => (i, ls.toSeq) }.toDF("item", "labels")
   }
 }

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.{col, explode}
 import repro.crowd.{Answer, Datasets}
 import repro.tables.Tables
 import repro.{Oracle, SparkSpec}
@@ -32,43 +32,21 @@ class MajorityVoteSpec extends SparkSpec {
 
   private lazy val ds = Datasets.generate("topic", sf = 0.1)
 
-  test("Spark DataFrame implementation matches the local implementation") {
-    val local = MajorityVote.aggregate(ds.answers)
-    val df = MajorityVote.aggregateDf(AnswerData.toDf(spark, ds.answers))
-    val dist = df.collect().map(r =>
-      r.getInt(0) -> r.getSeq[Int](1).toArray).toMap
-    val answeredItems = ds.answers.map(_.item).distinct
-    assert(dist.keySet == answeredItems.toSet)
-    answeredItems.foreach { i =>
-      assert(dist(i).sameElements(local.getOrElse(i, Array.empty)), s"item $i")
-    }
-  }
-
-  test("Spark vote counting matches a DuckDB oracle") {
-    val answersDf = AnswerData.toDf(spark, ds.answers)
-    val flat = answersDf.select(col("item"), col("worker"), explode(col("labels")).as("label"))
-    val sparkVotes = flat.groupBy("item", "label")
-      .agg(count(lit(1)).as("votes"))
-    Oracle.assertEquivalent(
-      sparkVotes,
-      "SELECT item, label, COUNT(*) AS votes FROM flat GROUP BY item, label",
-      "flat" -> flat)
-  }
-
-  test("Spark majority sets match a DuckDB oracle (exploded comparison)") {
-    val answersDf = AnswerData.toDf(spark, ds.answers)
-    val result = MajorityVote.aggregateDf(answersDf)
-      .select(col("item"), explode(col("labels")).as("label"))
-    val flat = answersDf.select(col("item"), col("worker"), explode(col("labels")).as("label"))
-    val perItem = answersDf.groupBy("item").agg(count(lit(1)).as("n"))
+  test("majority sets match a DuckDB oracle (exploded comparison)") {
+    import spark.implicits._
+    val result = MajorityVote.aggregate(ds.answers).toSeq
+      .flatMap { case (i, ls) => ls.map(c => (i, c)) }.toDF("item", "label")
+    val answersDs = AnswerData.toDs(spark, ds.answers)
+    val flat = answersDs.select(col("item"), col("worker"), explode(col("labels")).as("label"))
+    val answered = answersDs.select(col("item"), col("worker"))
     Oracle.assertEquivalent(
       result,
       """
       SELECT v.item AS item, v.label AS label
       FROM (SELECT item, label, COUNT(*) AS votes FROM flat GROUP BY item, label) v
-      JOIN per_item p ON v.item = p.item
+      JOIN (SELECT item, COUNT(*) AS n FROM answered GROUP BY item) p ON v.item = p.item
       WHERE v.votes * 1.0 / CAST(p.n AS DOUBLE) > 0.5
       """,
-      "flat" -> flat, "per_item" -> perItem)
+      "flat" -> flat, "answered" -> answered)
   }
 }

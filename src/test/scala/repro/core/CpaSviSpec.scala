@@ -67,7 +67,8 @@ class CpaSviSpec extends AnyFunSuite {
     val snapshot = svi.toModel
     def state(m: CpaModel) = {
       val g = m.globals
-      (m.phi.map(_.toSeq).toSeq, g.zeta.map(_.toSeq).toSeq, g.lambda.map(_.map(_.toSeq).toSeq).toSeq,
+      (m.phi.map(_.toSeq).toSeq, m.kappa.map(_.toSeq).toSeq, g.zeta.map(_.toSeq).toSeq,
+        g.lambda.map(_.map(_.toSeq).toSeq).toSeq,
         Seq(g.rho1, g.rho2, g.ups1, g.ups2, m.sensMc, m.fpMc).map(_.toSeq),
         (0 until m.nItems).map(m.clusterOf))
     }

@@ -6,6 +6,8 @@ import repro.crowd.CrowdSim.{Config, WorkerMix}
 import repro.crowd.{Answer, CrowdSim, Datasets, Metrics, WorkerType}
 import repro.tools.FitDigest
 
+import scala.reflect.ClassTag
+
 class CpaViSpec extends AnyFunSuite {
   private lazy val ds = Datasets.generate("image", sf = 0.15)
   private lazy val model = CpaVi.fit(ds.answers, ds.nItems, ds.nWorkers, ds.nLabels)
@@ -150,25 +152,31 @@ class CpaViSpec extends AnyFunSuite {
       CpaVi.fit(ds.answers, ds.nItems, ds.nWorkers, ds.nLabels, CpaConfig(maxIter = 0))
     }
   }
+  /** An engine over `n` answers whose every pass fails the test. */
+  private def noPasses(n: Int): CpaEngine = new PartitionedEngine {
+    override def nAnswers: Long = n.toLong
+    override def meanAnswerSize: Double = 1.0
+    override protected def eachPartition[In: ClassTag, Out: ClassTag](in: In)(
+        kernel: (In, Int, Iterator[Answer]) => Out): Array[Out] = fail("an engine pass ran")
+  }
+
+  /** `answers` rejected by a local fit and, before any engine pass, by `fitEngine`. */
+  private def rejected(answers: Seq[Answer]): Seq[IllegalArgumentException] =
+    Seq(() => CpaVi.fit(answers, 2, 2, 3, CpaConfig(maxIter = 1)),
+      () => CpaVi.fitEngine(noPasses(answers.size), answers, 2, 2, 3, CpaConfig(maxIter = 1)))
+      .map(fit => intercept[IllegalArgumentException](fit()))
+
   test("rejects answers whose labels are unsorted, duplicated or out of range") {
     val good = Vector(Answer(0, 0, Array(0, 2)), Answer(1, 1, Array(1)))
-    for (bad <- Seq(Array(2, 0), Array(1, 1), Array(-1, 2), Array(0, 3))) {
-      val e = intercept[IllegalArgumentException] {
-        CpaVi.fit(good :+ Answer(1, 0, bad), 2, 2, 3, CpaConfig(maxIter = 1))
-      }
+    for (bad <- Seq(Array(2, 0), Array(1, 1), Array(-1, 2), Array(0, 3)); e <- rejected(good :+ Answer(1, 0, bad)))
       assert(e.getMessage.contains("strictly increasing"), e.getMessage)
-    }
     CpaVi.fit(good, 2, 2, 3, CpaConfig(maxIter = 1))
   }
   test("rejects answers whose item or worker id is out of range, naming the answer") {
     val good = Vector(Answer(0, 0, Array(0, 2)), Answer(1, 1, Array(1)))
     for (bad <- Seq(Answer(2, 0, Array(0)), Answer(-1, 0, Array(0)), Answer(0, 2, Array(1)),
-        Answer(0, -1, Array(1)))) {
-      val e = intercept[IllegalArgumentException] {
-        CpaVi.fit(good :+ bad, 2, 2, 3, CpaConfig(maxIter = 1))
-      }
-      assert(e.getMessage.contains(bad.toString), e.getMessage)
-    }
+        Answer(0, -1, Array(1))); e <- rejected(good :+ bad))
+      assert(e.getMessage.contains(bad.toString) && e.getMessage.contains("id must be within"), e.getMessage)
   }
   test("fitEngine rejects an engine over other answers than initAnswers") {
     val answers = Vector(Answer(0, 0, Array(0, 2)), Answer(1, 1, Array(1)))
@@ -176,6 +184,14 @@ class CpaViSpec extends AnyFunSuite {
       CpaVi.fitEngine(new LocalEngine(answers.tail), answers, 2, 2, 3, CpaConfig(maxIter = 1))
     }
     assert(e.getMessage.contains("holds 1 answers"), e.getMessage)
+  }
+  test("fitEngine rejects an engine whose answers carry other labels than initAnswers at the same count") {
+    val answers = Vector(Answer(0, 0, Array(0, 2)), Answer(1, 1, Array(1)))
+    val other = Vector(Answer(0, 0, Array(0, 1)), Answer(1, 1, Array(1)))
+    val e = intercept[IllegalArgumentException] {
+      CpaVi.fitEngine(new LocalEngine(other), answers, 2, 2, 3, CpaConfig(maxIter = 1))
+    }
+    assert(e.getMessage.contains("candidate labels of item 0"), e.getMessage)
   }
   test("model exposes argmax accessors within range") {
     (0 until ds.nWorkers).foreach(u =>

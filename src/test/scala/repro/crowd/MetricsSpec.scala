@@ -1,6 +1,6 @@
 package repro.crowd
 
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.{col, round}
 import repro.{Oracle, SparkSpec}
 
 class MetricsSpec extends SparkSpec {
@@ -53,34 +53,7 @@ class MetricsSpec extends SparkSpec {
     assert(pr.precision == 1.0 && pr.recall == 1.0)
   }
 
-  test("evaluateDf matches the local metric on the hand-built example") {
-    import spark.implicits._
-    val truthDf = ds.truth.zipWithIndex.map { case (t, i) => (i, t.toSeq) }.toSeq
-      .toDF("item", "labels")
-    val predDf = pred.toSeq.map { case (i, p) => (i, p.toSeq) }.toDF("item", "labels")
-    val row = evaluateDf(truthDf, predDf).collect()(0)
-    val pr = evaluate(ds, pred)
-    assert(math.abs(row.getDouble(0) - pr.precision) < 1e-12)
-    assert(math.abs(row.getDouble(1) - pr.recall) < 1e-12)
-  }
-
-  test("evaluateDf matches the local metric on random data") {
-    import spark.implicits._
-    val rng = new scala.util.Random(21)
-    val nItems = 60
-    val truth = Array.fill(nItems)((0 until 10).filter(_ => rng.nextDouble() < 0.3).toArray)
-    val prd = (0 until nItems).map(i =>
-      i -> (0 until 10).filter(_ => rng.nextDouble() < 0.3).toArray).toMap
-    val d2 = CrowdDataset("r", nItems, 10, 1, truth, Vector.empty, Array(WorkerType.Reliable))
-    val truthDf = truth.zipWithIndex.map { case (t, i) => (i, t.toSeq) }.toSeq.toDF("item", "labels")
-    val predDf = prd.toSeq.map { case (i, p) => (i, p.toSeq) }.toDF("item", "labels")
-    val row = evaluateDf(truthDf, predDf).collect()(0)
-    val pr = evaluate(d2, prd)
-    assert(math.abs(row.getDouble(0) - pr.precision) < 1e-9)
-    assert(math.abs(row.getDouble(1) - pr.recall) < 1e-9)
-  }
-
-  test("evaluateDf agrees with a DuckDB oracle over exploded label tables") {
+  test("evaluate agrees with a DuckDB oracle over exploded label tables") {
     import spark.implicits._
     val rng = new scala.util.Random(33)
     val nItems = 40
@@ -92,12 +65,11 @@ class MetricsSpec extends SparkSpec {
       .toDF("item", "label")
     val predFlat = prd.toSeq.flatMap { case (i, p) => p.map(c => (i, c)) }.toDF("item", "label")
     val items = (0 until nItems).map(i => Tuple1(i)).toDF("item")
-    val truthDf = truth.zipWithIndex.map { case (t, i) => (i, t.toSeq) }.toSeq.toDF("item", "labels")
-    val predDf = prd.toSeq.map { case (i, p) => (i, p.toSeq) }.toDF("item", "labels")
-    val sparkOut = Metrics.evaluateDf(truthDf, predDf)
+    val pr = evaluate(CrowdDataset("r", nItems, 8, 1, truth, Vector.empty, Array(WorkerType.Reliable)), prd)
+    val local = Seq((pr.precision, pr.recall)).toDF("precision", "recall")
       .select(round(col("precision"), 6).as("precision"), round(col("recall"), 6).as("recall"))
     Oracle.assertEquivalent(
-      sparkOut,
+      local,
       """
       WITH inter AS (
         SELECT t.item AS item, COUNT(*) AS n_inter

@@ -53,10 +53,14 @@ class CpaSparkSpec extends SparkSpec {
   }
 
   /** The starting state of `CpaVi.fitEngine` on `ds`: every answer
-    * registered on the candidates.
+    * registered, ϕ started from their votes.
     */
-  private def startState() = new CpaState(cfg, ds.nItems, ds.nWorkers, ds.nLabels,
-    localEngine.candidates(ds.nItems), ds.answers)(CpaCore.initPhi(_, _, _, cfg.seed))
+  private def startState() = {
+    val s = new CpaState(cfg, ds.nItems, ds.nWorkers, ds.nLabels)
+    s.register(ds.answers)
+    s.startPhi(fromVotes = true)
+    s
+  }
 
   /** The inputs of the second VI iteration's passes on `ds`: globals
     * bootstrapped as `CpaVi.fitEngine` does, community coins from one
@@ -305,21 +309,6 @@ class CpaSparkSpec extends SparkSpec {
     (0 until ds.nItems).foreach { i =>
       assert(dist.cand(i).sameElements(localCand(i)), s"cand($i)")
     }
-  }
-  test("truthDf and predictionsDf expose (item, labels) for metric computation") {
-    val t = AnswerData.truthDf(spark, ds)
-    assert(t.columns.toSeq == Seq("item", "labels"))
-    assert(t.count() == ds.nItems)
-    val p = AnswerData.predictionsDf(spark, Map(0 -> Array(1, 2)))
-    assert(p.columns.toSeq == Seq("item", "labels"))
-    assert(p.count() == 1)
-  }
-  test("Spark-side metric of Spark predictions matches the local metric") {
-    val predDf = AnswerData.predictionsDf(spark, CpaSpark.predict(spark, dist))
-    val row = Metrics.evaluateDf(AnswerData.truthDf(spark, ds), predDf).collect()(0)
-    val pr = Metrics.evaluate(ds, dist.predict())
-    assert(math.abs(row.getDouble(0) - pr.precision) < 1e-9)
-    assert(math.abs(row.getDouble(1) - pr.recall) < 1e-9)
   }
 }
 
