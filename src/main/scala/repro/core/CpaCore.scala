@@ -4,7 +4,7 @@ import repro.crowd.Answer
 import repro.util.MathFn._
 import repro.util.Par
 
-import scala.collection.mutable
+import scala.collection.mutable.ArrayBuilder
 
 /** Shared computational kernel of the CPA model (§3).
   *
@@ -81,6 +81,15 @@ object CpaCore {
     * REDUCE-phase payload of Algorithm 3). Mergeable => usable as a Spark
     * aggregation buffer.
     *
+    * Java serialization (a Spark task's result) writes a [[PackedStats]] in
+    * its place: the λ-stat entries whose raw bits are not +0.0 (the dense
+    * λ-stat where that is smaller), the coin arrays, and the held items with
+    * their rows in one array. Reading it back rebuilds this dense buffer bit
+    * for bit. After the first iteration a partition's λ-stat is mostly zero,
+    * since κ and ϕ rows are nearly one-hot, so the packed form is a fraction
+    * of the dense T·M·C doubles. Serializers that do not honour
+    * `writeReplace` (Kryo) write the fields as they are.
+    *
     * @param lamStat  flat T*M*C array: Σ_i ϕ_it κ_um x_iuc (Eq 6 increment)
     * @param aIt      per item, a row of T values (null until the item's first
     *                 answer): aIt(i)(t) = a_it = Σ_{u∈U_i} Σ_m κ_um E[ln p(x_iu|ψ_tm)].
@@ -114,6 +123,10 @@ object CpaCore {
       val posMassMc: Array[Double],
       val negAdjMc: Array[Double],
       val ansMassM: Array[Double]) extends Serializable {
+    require(aIt.length == llr.length, s"${aIt.length} a_it rows, ${llr.length} llr rows")
+
+    private def writeReplace(): AnyRef = PackedStats(this)
+
     /** Add `o` into this buffer; a row `o` holds and this one does not is
       * copied, so the buffers never share a row.
       */
@@ -129,6 +142,63 @@ object CpaCore {
       addInto(posMassMc, o.posMassMc); addInto(negAdjMc, o.negAdjMc)
       addInto(ansMassM, o.ansMassM)
       this
+    }
+  }
+
+  /** The wire form of a [[SuffStats]]. `lamIdx`/`lamVal` are the λ-stat
+    * entries whose raw bits are not +0.0, in index order, of `lamLen`. When
+    * that takes more bytes than the dense λ-stat (more than 2/3 of the
+    * entries set, as under the starting ϕ, whose every entry is set),
+    * `lamIdx` is null and `lamVal` is the dense λ-stat. `held` lists the
+    * items with a row, in item order, and `shape` their a_it and llr row
+    * lengths (−1 for a null row), two per held item; the rows follow one
+    * another in `rows`, each item's a_it row before its llr row.
+    */
+  private final class PackedStats(
+      lamLen: Int, lamIdx: Array[Int], lamVal: Array[Double], nItems: Int,
+      held: Array[Int], shape: Array[Int], rows: Array[Double],
+      tpMc: Array[Double], fpMc: Array[Double], posMassMc: Array[Double],
+      negAdjMc: Array[Double], ansMassM: Array[Double]) extends Serializable {
+
+    private def readResolve(): AnyRef = {
+      val lamStat = if (lamIdx == null) lamVal else new Array[Double](lamLen)
+      var k = 0
+      while (lamIdx != null && k < lamIdx.length) { lamStat(lamIdx(k)) = lamVal(k); k += 1 }
+      val (aIt, llr) = (new Array[Array[Double]](nItems), new Array[Array[Double]](nItems))
+      var at = 0
+      def take(n: Int): Array[Double] =
+        if (n < 0) null else { at += n; java.util.Arrays.copyOfRange(rows, at - n, at) }
+      k = 0
+      while (k < held.length) {
+        aIt(held(k)) = take(shape(2 * k))
+        llr(held(k)) = take(shape(2 * k + 1))
+        k += 1
+      }
+      new SuffStats(lamStat, aIt, llr, tpMc, fpMc, posMassMc, negAdjMc, ansMassM)
+    }
+  }
+
+  private object PackedStats {
+    def apply(st: SuffStats): PackedStats = {
+      val lam = st.lamStat
+      val (lamIdx, lamVal) = (new ArrayBuilder.ofInt, new ArrayBuilder.ofDouble)
+      var k = 0
+      while (k < lam.length) {
+        // Every bit pattern but +0.0's, −0.0 and NaN included.
+        if (java.lang.Double.doubleToRawLongBits(lam(k)) != 0L) { lamIdx += k; lamVal += lam(k) }
+        k += 1
+      }
+      val sparse = 3L * lamIdx.length < 2L * lam.length
+      val (held, shape, rows) = (new ArrayBuilder.ofInt, new ArrayBuilder.ofInt, new ArrayBuilder.ofDouble)
+      def put(r: Array[Double]): Int = if (r == null) -1 else { rows ++= r; r.length }
+      var i = 0
+      while (i < st.llr.length) {
+        if (st.aIt(i) != null || st.llr(i) != null) { held += i; shape += put(st.aIt(i)); shape += put(st.llr(i)) }
+        i += 1
+      }
+      new PackedStats(lam.length, if (sparse) lamIdx.result() else null, if (sparse) lamVal.result() else lam,
+        st.llr.length, held.result(), shape.result(), rows.result(),
+        st.tpMc, st.fpMc, st.posMassMc, st.negAdjMc, st.ansMassM)
     }
   }
 
@@ -281,11 +351,57 @@ object CpaCore {
     row
   }
 
-  /** Candidate label set per item = labels voted by at least one worker. */
+  /** Candidate label set per item = labels voted by at least one worker, as
+    * a sorted row of distinct labels (empty for an item without votes).
+    */
   def candidates(answers: IterableOnce[Answer], nItems: Int): Array[Array[Int]] = {
-    val sets = Array.fill(nItems)(mutable.SortedSet.empty[Int])
-    answers.iterator.foreach(a => a.labels.foreach(sets(a.item) += _))
-    sets.map(_.toArray)
+    val votes = new Array[Array[Int]](nItems)
+    val n = new Array[Int](nItems)
+    answers.iterator.foreach { a =>
+      val (i, ls) = (a.item, a.labels)
+      if (votes(i) == null) votes(i) = new Array[Int](math.max(4, ls.length))
+      else if (n(i) + ls.length > votes(i).length)
+        votes(i) = java.util.Arrays.copyOf(votes(i), math.max(n(i) + ls.length, 2 * votes(i).length))
+      System.arraycopy(ls, 0, votes(i), n(i), ls.length)
+      n(i) += ls.length
+    }
+    Array.tabulate(nItems) { i =>
+      val row = votes(i)
+      if (row == null) Array.emptyIntArray
+      else {
+        java.util.Arrays.sort(row, 0, n(i))
+        var d = 0
+        var k = 0
+        while (k < n(i)) { if (d == 0 || row(d - 1) != row(k)) { row(d) = row(k); d += 1 }; k += 1 }
+        java.util.Arrays.copyOf(row, d)
+      }
+    }
+  }
+
+  /** The sorted union of the sorted, distinct rows `a` and `b`: `a` itself
+    * when `b` adds no label.
+    */
+  def union(a: Array[Int], b: Array[Int]): Array[Int] = {
+    var added = 0
+    var j = 0
+    var k = 0
+    while (k < b.length) {
+      while (j < a.length && a(j) < b(k)) j += 1
+      if (j == a.length || a(j) != b(k)) added += 1
+      k += 1
+    }
+    if (added == 0) a
+    else {
+      val out = new Array[Int](a.length + added)
+      j = 0; k = 0
+      var s = 0
+      while (s < out.length) {
+        if (k == b.length || (j < a.length && a(j) < b(k))) { out(s) = a(j); j += 1 }
+        else { if (j < a.length && a(j) == b(k)) j += 1; out(s) = b(k); k += 1 }
+        s += 1
+      }
+      out
+    }
   }
 
   /** Starting soft truth of a label with `votes` of an item's `nAns` answers:

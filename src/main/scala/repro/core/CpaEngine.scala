@@ -84,7 +84,8 @@ abstract class PartitionedEngine extends CpaEngine {
   override def candidates(nItems: Int): Array[Array[Int]] =
     eachPartition(nItems)((n, _, it) => CpaCore.candidates(it, n))
       .reduceLeftOption { (acc, more) =>
-        acc.indices.foreach(i => if (more(i).nonEmpty) acc(i) = (acc(i) ++ more(i)).distinct.sorted)
+        var i = 0
+        while (i < acc.length) { acc(i) = CpaCore.union(acc(i), more(i)); i += 1 }
         acc
       }.getOrElse(Array.fill(nItems)(Array.emptyIntArray))
 

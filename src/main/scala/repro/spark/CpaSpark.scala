@@ -1,7 +1,6 @@
 package repro.spark
 
-import org.apache.spark.SparkContext
-import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.{SparkContext, TaskContext}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core._
@@ -13,10 +12,18 @@ import scala.reflect.ClassTag
   * paper's own scalability experiments ran on Apache Spark, §5.1).
   *
   * [[SparkEngine]] is a [[PartitionedEngine]] over the partitions of the
-  * cached answers: each pass broadcasts what its kernel reads, folds every
-  * partition's answers in one task (one narrow stage, no shuffle), collects
-  * one value per partition and merges them on the driver in partition order
-  * (`RDD.reduce` would merge in the order the tasks finish). Per iteration:
+  * cached answers: each pass broadcasts what its kernel reads and runs one
+  * job, `SparkContext.runJob` on the cached RDD, whose task for partition p
+  * folds p's answers and returns one value (one narrow stage, no shuffle).
+  * `runJob` returns the values in partition order, and the driver merges
+  * them in that order (`RDD.reduce` would merge in the order the tasks
+  * finish). The task function is built in this object and captures only the
+  * broadcast and the kernel, so the closure cleaner finds no enclosing
+  * object to walk (`RDD.collect`'s closure captures its RDD, whose class
+  * the cleaner would read on every pass). A statistics pass ships each
+  * partition's [[CpaCore.SuffStats]] in its packed wire form (the set
+  * λ-statistic entries and the rows of the items the partition holds). Per
+  * iteration:
   *  1. MAP phase 1 (Eq 2): each partition emits, for every worker it holds,
   *     the partial κ logits of that worker's answers there
   *     ([[CpaCore.kappaLogits]]; partition 0 from E[ln π], the others from
@@ -35,21 +42,27 @@ import scala.reflect.ClassTag
   * the same slices through the same passes: a [[LocalEngine]] of as many
   * slices as the Dataset has partitions (four, the default, on `local[4]`).
   *
-  * Prediction is one pass over the item ids: each task applies the greedy
-  * MAP instantiation to its slice of items of the broadcast model
-  * independently (§3.4, "instantiation can be done independently for all
-  * items").
+  * Prediction is one job of the same shape over the item ids: each task
+  * applies the greedy MAP instantiation to its slice of items of the
+  * broadcast model independently (§3.4, "instantiation can be done
+  * independently for all items").
   */
 object CpaSpark {
 
-  /** Run `pass` with `value` broadcast, and destroy the broadcast after it. */
-  private def withBroadcast[V: ClassTag, R](sc: SparkContext, value: V)(pass: Broadcast[V] => R): R = {
-    val b = sc.broadcast(value)
-    try pass(b) finally b.destroy()
+  /** `kernel(in, p, rows of p)` on every partition p of `rdd`, with `in`
+    * broadcast (and destroyed after the pass): one job, one value per
+    * partition, in partition order. The task function captures the broadcast
+    * and the kernel and nothing else.
+    */
+  private def runPass[In: ClassTag, T, Out: ClassTag](sc: SparkContext, rdd: RDD[T], in: In)(
+      kernel: (In, Int, Iterator[T]) => Out): Array[Out] = {
+    val b = sc.broadcast(in)
+    try sc.runJob(rdd, (ctx: TaskContext, it: Iterator[T]) => kernel(b.value, ctx.partitionId(), it))
+    finally b.destroy()
   }
 
-  /** Spark-backed [[CpaEngine]] over cached answers: every pass is one narrow
-    * stage with one task per partition of `ds`.
+  /** Spark-backed [[CpaEngine]] over cached answers: every pass is one
+    * `runJob` of one narrow stage with one task per partition of `ds`.
     */
   final class SparkEngine(spark: SparkSession, ds: Dataset[Answer],
       val nAnswers: Long, val meanAnswerSize: Double) extends PartitionedEngine {
@@ -60,9 +73,7 @@ object CpaSpark {
 
     override protected def eachPartition[In: ClassTag, Out: ClassTag](in: In)(
         kernel: (In, Int, Iterator[Answer]) => Out): Array[Out] =
-      withBroadcast(sc, in) { b =>
-        answers.mapPartitionsWithIndex((p, it) => Iterator.single(kernel(b.value, p, it))).collect()
-      }
+      runPass(sc, answers, in)(kernel)
   }
 
   /** Fit CPA on Spark: same VI loop as [[CpaVi]], distributed data passes.
@@ -83,9 +94,10 @@ object CpaSpark {
   /** Distributed prediction: the greedy instantiation per item, parallelised
     * over items (each item is independent, §3.4), as a map item → labels.
     */
-  def predict(spark: SparkSession, model: CpaModel): Map[Int, Array[Int]] =
-    withBroadcast(spark.sparkContext, model) { b =>
-      spark.sparkContext.parallelize(0 until model.nItems)
-        .map(i => i -> b.value.predictItem(i)).collect().toMap
-    }
+  def predict(spark: SparkSession, model: CpaModel): Map[Int, Array[Int]] = {
+    val sc = spark.sparkContext
+    runPass(sc, sc.parallelize(0 until model.nItems), model) { (m, _, items) =>
+      items.map(i => i -> m.predictItem(i)).toArray
+    }.flatten.toMap
+  }
 }

@@ -1,7 +1,9 @@
 package repro.core
 
+import org.apache.spark.SparkConf
+import org.apache.spark.serializer.{JavaSerializer, KryoSerializer}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.crowd.Answer
+import repro.crowd.{Answer, Datasets}
 import repro.util.MathFn
 
 class CpaCoreSpec extends AnyFunSuite {
@@ -56,6 +58,21 @@ class CpaCoreSpec extends AnyFunSuite {
     assert(cand(0).sameElements(Array(0, 1)))
     assert(cand(1).sameElements(Array(2, 3)))
     assert(cand(2).sameElements(Array(0, 1)))
+  }
+  test("candidates and union give the sorted distinct label rows of any answers, in any split") {
+    val rng = new scala.util.Random(3)
+    val nItems = 7
+    val as = Vector.fill(60)(Answer(rng.nextInt(nItems), rng.nextInt(5), Array.fill(rng.nextInt(4))(rng.nextInt(9))))
+    def reference(part: Seq[Answer]) =
+      Array.tabulate(nItems)(i => part.filter(_.item == i).flatMap(_.labels).distinct.sorted.toArray)
+    val whole = candidates(as, nItems)
+    (0 until nItems).foreach(i => assert(whole(i).sameElements(reference(as)(i)), s"cand($i)"))
+    val (left, right) = (candidates(as.take(25), nItems), candidates(as.drop(25), nItems))
+    (0 until nItems).foreach { i =>
+      val u = union(left(i), right(i))
+      assert(u.sameElements(whole(i)), s"union($i)")
+      assert(union(u, right(i)) eq u, s"a union that adds nothing returns its first row ($i)")
+    }
   }
   test("candidates of an unanswered item is empty") {
     assert(candidates(answers, 4)(3).isEmpty)
@@ -449,5 +466,69 @@ class CpaCoreSpec extends AnyFunSuite {
 
     val d = derive(g)
     assert(raw(d.dlam) == raw(Array.tabulate(t0, m0)((t, m) => dirElog(g.lambda(t)(m)))))
+  }
+
+  /** `st` through Spark's Java and Kryo serializers: (serializer, bytes, copy). */
+  private def roundTrips(st: SuffStats): Seq[(String, Int, SuffStats)] = {
+    val conf = new SparkConf()
+    Seq(new JavaSerializer(conf), new KryoSerializer(conf)).map { ser =>
+      val inst = ser.newInstance()
+      val bytes = inst.serialize(st)
+      (ser.getClass.getSimpleName, bytes.remaining(), inst.deserialize[SuffStats](bytes))
+    }
+  }
+
+  /** Every array of `st` as raw bits (a null row as None), rows counted. */
+  private def statBits(st: SuffStats) = {
+    def bits(r: Array[Double]) = Option(r).map(_.map(java.lang.Double.doubleToRawLongBits).toSeq)
+    (Seq(st.lamStat, st.tpMc, st.fpMc, st.posMassMc, st.negAdjMc, st.ansMassM) ++ st.aIt ++ st.llr).map(bits) :+
+      Some(Seq(st.aIt.length.toLong, st.llr.length.toLong))
+  }
+
+  test("a SuffStats round trip through Spark's Java and Kryo serializers is bit-identical") {
+    val (_, _, phi, kappa, cand, yhat, d) = freshState()
+    val sens = Array.fill(2 * C)(0.65); val fp = Array.fill(2 * C)(0.08)
+    // Item 1 unanswered: null a_it and llr rows between held items.
+    val someItems = emptyStats(4, 2, C, I)
+    answers.filter(_.item != 1).foreach(a =>
+      accumulate(someItems, a, kappa(a.worker), phi(a.item), d.dlam, cand(a.item), yhat(a.item), sens, fp))
+    assert(someItems.aIt(1) == null && someItems.llr(1) == null && someItems.llr(2) != null)
+    // A zero λ-stat under rows of either kind alone, empty rows and −0.0, NaN entries.
+    val zeroLam = emptyStats(2, 1, 3, 4)
+    zeroLam.aIt(0) = Array(1.0, -0.0); zeroLam.llr(1) = Array(0.5); zeroLam.llr(3) = Array.emptyDoubleArray
+    val negZero = emptyStats(2, 2, 3, 2)
+    negZero.lamStat(1) = -0.0; negZero.lamStat(4) = 2.5; negZero.lamStat(11) = Double.NaN
+    negZero.tpMc(0) = -0.0; negZero.aIt(1) = Array(-0.0, 3.0); negZero.llr(1) = Array(-0.0)
+    // Every entry set: shipped dense.
+    val dense = emptyStats(2, 1, 3, 1)
+    java.util.Arrays.fill(dense.lamStat, 1.5); dense.lamStat(2) = -0.0
+    for ((what, st) <- Seq("null rows" -> someItems, "no items" -> emptyStats(4, 2, C, I),
+        "all-zero λ-stat" -> zeroLam, "−0.0 entries" -> negZero, "dense λ-stat" -> dense,
+        "no items, no labels" -> emptyStats(1, 1, 0, 0));
+        (ser, _, back) <- roundTrips(st)) {
+      assert(statBits(back) == statBits(st), s"$what through $ser")
+    }
+  }
+
+  test("the Java-serialised statistics of one entity partition are smaller than its dense λ-stat") {
+    // The statistics pass of the second VI iteration, after the bootstrap and
+    // one step: ϕ and κ rows are then nearly one-hot. (The first pass reads
+    // the starting ϕ, whose every entry is set.)
+    val ds = Datasets.generate("entity", sf = 0.1)
+    val s = new CpaState(CpaConfig(), ds.nItems, ds.nWorkers, ds.nLabels)
+    s.register(ds.answers)
+    s.startPhi(fromVotes = true)
+    val engine = new LocalEngine(ds.answers, 1)
+    val (items, workers) = (Array.range(0, ds.nItems), Array.range(0, ds.nWorkers))
+    s.globalStep(1.0, engine.bootstrapLambda(s.g.T, s.g.M, s.g.C, s.kappa, s.phi), engine.nAnswers, items, workers)
+    s.step(engine, 1.0, items, workers)
+    val m = s.toModel(1)
+    val g = m.globals
+    val st = engine.computeStats(g.T, g.M, g.C, ds.nItems, m.kappa, m.phi, m.cand, m.yhat, derive(g),
+      m.sensMc, m.fpMc)
+    val dense = 8L * g.T * g.M * g.C
+    val (_, javaBytes, back) = roundTrips(st).head
+    assert(javaBytes < dense, s"$javaBytes bytes serialised, $dense bytes of dense λ-stat")
+    assert(statBits(back) == statBits(st))
   }
 }

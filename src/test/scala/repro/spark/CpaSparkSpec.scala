@@ -6,7 +6,7 @@ import org.apache.spark.repro.ListenerBusAccess
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted, SparkListenerTaskEnd}
 import repro.SparkSpec
 import repro.core.{CpaConfig, CpaCore, CpaModel, CpaState, CpaVi, LocalEngine, TinyAnswers}
-import repro.crowd.{Answer, Datasets, Metrics}
+import repro.crowd.{Answer, CrowdDataset, Datasets, Metrics}
 
 class CpaSparkSpec extends SparkSpec {
   private lazy val ds = Datasets.generate("topic", sf = 0.1)
@@ -34,30 +34,31 @@ class CpaSparkSpec extends SparkSpec {
       .map(_.map(_.map(java.lang.Double.doubleToRawLongBits).toSeq).toSeq)
   }
 
-  /** (jobs, stages, shuffle bytes written) of each of `passes`, run in turn
-    * on one Spark engine over a fresh cache of `ds`'s answers.
+  /** (jobs, stages, shuffle bytes written) and the task-result bytes of each
+    * of `passes`, run in turn on one Spark engine over a fresh cache of
+    * `answers`.
     */
-  private def passShapes(passes: (CpaSpark.SparkEngine => Any)*): Seq[(Long, Long, Long)] = {
+  private def passShapes(answers: Seq[Answer])(passes: (CpaSpark.SparkEngine => Any)*): Seq[((Long, Long, Long), Long)] = {
     val sc = spark.sparkContext
     val shape = new PassShape
-    withSparkEngine { engine =>
+    withSparkEngine({ engine =>
       sc.addSparkListener(shape)
       try passes.map { pass =>
         ListenerBusAccess.drain(sc)
         shape.reset()
         pass(engine)
         ListenerBusAccess.drain(sc)
-        (shape.jobs.get, shape.stages.get, shape.shuffleWriteBytes.get)
+        ((shape.jobs.get, shape.stages.get, shape.shuffleWriteBytes.get), shape.resultBytes.get)
       } finally sc.removeSparkListener(shape)
-    }
+    }, answers)
   }
 
-  /** The starting state of `CpaVi.fitEngine` on `ds`: every answer
+  /** The starting state of `CpaVi.fitEngine` on `data`: every answer
     * registered, ϕ started from their votes.
     */
-  private def startState() = {
-    val s = new CpaState(cfg, ds.nItems, ds.nWorkers, ds.nLabels)
-    s.register(ds.answers)
+  private def startState(data: CrowdDataset = ds) = {
+    val s = new CpaState(cfg, data.nItems, data.nWorkers, data.nLabels)
+    s.register(data.answers)
     s.startPhi(fromVotes = true)
     s
   }
@@ -76,6 +77,21 @@ class CpaSparkSpec extends SparkSpec {
       Array.fill(g.M * g.C)(CpaCore.SensStart), Array.fill(g.M * g.C)(CpaCore.FpStart))
     val (sens, fp) = CpaCore.communityCoins(first, s.meanAnswerSize)
     PassInputs(g, phi, kappa, cand, yhat, d, sens, fp)
+  }
+
+  /** The inputs of the third VI iteration's passes on `data`: those of
+    * `CpaVi.fitEngine` after two steps of a one-slice local engine, when ϕ
+    * and κ rows are nearly one-hot.
+    */
+  private def laterPassInputs(data: CrowdDataset) = {
+    val s = startState(data)
+    val engine = new LocalEngine(data.answers, 1)
+    val (items, workers) = (Array.range(0, data.nItems), Array.range(0, data.nWorkers))
+    s.globalStep(1.0, engine.bootstrapLambda(s.g.T, s.g.M, s.g.C, s.kappa, s.phi), engine.nAnswers,
+      items, workers)
+    (1 to 2).foreach(_ => s.step(engine, 1.0, items, workers))
+    val m = s.toModel(2)
+    PassInputs(m.globals, m.phi, m.kappa, m.cand, m.yhat, CpaCore.derive(m.globals), m.sensMc, m.fpMc)
   }
 
   private def assertClose(a: Array[Double], b: Array[Double], what: String, tol: Double = 1e-9): Unit = {
@@ -201,20 +217,38 @@ class CpaSparkSpec extends SparkSpec {
 
   test("computeKappa and computeStats each run one job of one stage and write no shuffle") {
     val in = passInputs
-    val shapes = passShapes(
+    val shapes = passShapes(ds.answers)(
       _.candidates(ds.nItems), // materialises the cached answers
       _.computeKappa(in.kappa, in.phi, in.d),
       _.computeStats(in.g.T, in.g.M, in.g.C, ds.nItems, in.kappa, in.phi, in.cand, in.yhat, in.d,
         in.sens, in.fp))
-    assert(shapes(1) == ((1L, 1L, 0L)), "computeKappa (jobs, stages, shuffle bytes)")
-    assert(shapes(2) == ((1L, 1L, 0L)), "computeStats (jobs, stages, shuffle bytes)")
+    assert(shapes(1)._1 == ((1L, 1L, 0L)), "computeKappa (jobs, stages, shuffle bytes)")
+    assert(shapes(2)._1 == ((1L, 1L, 0L)), "computeStats (jobs, stages, shuffle bytes)")
+  }
+
+  test("computeStats ships less than the dense λ-stat of every partition") {
+    // entity's 1450 labels make the λ-stat (T·M·C doubles) most of a dense
+    // buffer; by the third iteration most of its entries are +0.0.
+    val entity = Datasets.generate("entity", sf = 0.05)
+    val in = laterPassInputs(entity)
+    val shapes = passShapes(entity.answers)(
+      _.candidates(entity.nItems),
+      _.computeStats(in.g.T, in.g.M, in.g.C, entity.nItems, in.kappa, in.phi, in.cand, in.yhat, in.d,
+        in.sens, in.fp))
+    assert(shapes(1)._1 == ((1L, 1L, 0L)), "computeStats (jobs, stages, shuffle bytes)")
+    // Dense Java serialisation would ship at least the T·M·C doubles of every
+    // partition's λ-stat; the packed form ships its set entries.
+    val P = withSparkEngine(_.answers.getNumPartitions, entity.answers)
+    val dense = P * 8L * in.g.T * in.g.M * in.g.C
+    assert(shapes(1)._2 > 0 && shapes(1)._2 < dense,
+      s"computeStats shipped ${shapes(1)._2} result bytes from $P partitions, against $dense dense λ-stat bytes")
   }
 
   test("the candidates pass that fills a fresh cache and the λ bootstrap each run one job of one stage and write no shuffle") {
     val s = startState()
-    val shapes = passShapes(_.candidates(ds.nItems), _.bootstrapLambda(s.g.T, s.g.M, s.g.C, s.kappa, s.phi))
-    assert(shapes(0) == ((1L, 1L, 0L)), "candidates on a fresh cache (jobs, stages, shuffle bytes)")
-    assert(shapes(1) == ((1L, 1L, 0L)), "bootstrapLambda (jobs, stages, shuffle bytes)")
+    val shapes = passShapes(ds.answers)(_.candidates(ds.nItems), _.bootstrapLambda(s.g.T, s.g.M, s.g.C, s.kappa, s.phi))
+    assert(shapes(0)._1 == ((1L, 1L, 0L)), "candidates on a fresh cache (jobs, stages, shuffle bytes)")
+    assert(shapes(1)._1 == ((1L, 1L, 0L)), "bootstrapLambda (jobs, stages, shuffle bytes)")
   }
 
   test("a Spark fit on zero answers equals the local fit") {
@@ -317,11 +351,13 @@ private final case class PassInputs(g: CpaCore.Globals, phi: Array[Array[Double]
     kappa: Array[Array[Double]], cand: Array[Array[Int]], yhat: Array[Array[Double]],
     d: CpaCore.Derived, sens: Array[Double], fp: Array[Double])
 
-/** Counts the jobs started, stages submitted and shuffle bytes written. */
+/** Counts the jobs started, stages submitted, shuffle bytes written and
+  * task-result bytes.
+  */
 private final class PassShape extends SparkListener {
-  val jobs, stages, shuffleWriteBytes = new AtomicLong
+  val jobs, stages, shuffleWriteBytes, resultBytes = new AtomicLong
 
-  def reset(): Unit = Seq(jobs, stages, shuffleWriteBytes).foreach(_.set(0))
+  def reset(): Unit = Seq(jobs, stages, shuffleWriteBytes, resultBytes).foreach(_.set(0))
 
   override def onJobStart(e: SparkListenerJobStart): Unit = { jobs.incrementAndGet(); () }
 
@@ -329,6 +365,7 @@ private final class PassShape extends SparkListener {
 
   override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
     if (e.taskMetrics != null) {
-      shuffleWriteBytes.addAndGet(e.taskMetrics.shuffleWriteMetrics.bytesWritten); ()
+      shuffleWriteBytes.addAndGet(e.taskMetrics.shuffleWriteMetrics.bytesWritten)
+      resultBytes.addAndGet(e.taskMetrics.resultSize); ()
     }
 }

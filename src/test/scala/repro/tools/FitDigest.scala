@@ -21,9 +21,10 @@ import repro.spark.CpaSpark
   *   sbt "Test/runMain repro.tools.FitDigest" | grep -o 'fit .*'
   * }}}
   * The Spark fits run on `local[4]`, so their partitioning, and their bits,
-  * do not depend on the machine's core count; they equal the `vi` fits,
-  * whose [[LocalEngine]] cuts the same four slices. The `vi-1slice` fits
-  * fold all answers as one slice.
+  * do not depend on the machine's core count; they equal the `vi` fits of
+  * the same replica and configuration (`default`, and `noZ`, which runs the
+  * statistics pass without a κ pass), whose [[LocalEngine]] cuts the same
+  * four slices. The `vi-1slice` fits fold all answers as one slice.
   */
 object FitDigest {
 
@@ -98,10 +99,17 @@ object FitDigest {
 
     val spark = SparkSession.builder().master("local[4]").appName("fit-digest")
       .config("spark.ui.enabled", "false").getOrCreate()
-    try for (name <- Seq("entity", "movie"); run <- 1 to 2) {
-      val ds = Datasets.generate(name, sf = 0.15)
-      println(line(s"$name/default/spark-$run", CpaSpark.fit(spark, ds.answers, ds.nItems, ds.nWorkers, ds.nLabels)))
-    }
-    finally spark.stop()
+    try {
+      for (name <- Seq("entity", "movie"); run <- 1 to 2) {
+        val ds = Datasets.generate(name, sf = 0.15)
+        println(line(s"$name/default/spark-$run", CpaSpark.fit(spark, ds.answers, ds.nItems, ds.nWorkers, ds.nLabels)))
+      }
+      // A noZ fit runs the statistics pass alone, without a κ pass.
+      for (name <- Seq("entity", "movie")) {
+        val ds = Datasets.generate(name, sf = 0.15)
+        println(line(s"$name/noZ/spark-1", CpaSpark.fit(spark, ds.answers, ds.nItems, ds.nWorkers, ds.nLabels,
+          CpaConfig(noZ = true))))
+      }
+    } finally spark.stop()
   }
 }
