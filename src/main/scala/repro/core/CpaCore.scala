@@ -439,15 +439,25 @@ object CpaCore {
     out
   }
 
-  /** E[ln p_c] for a Dirichlet(params) row. */
+  /** E[ln p_c] for a Dirichlet(params) row. Most entries of a fitted λ row
+    * still hold the prior λ0, so an entry whose raw bits equal the previous
+    * entry's reuses its digamma: the same value, at a compare's cost.
+    */
   def dirElog(params: Array[Double]): Array[Double] = {
     var s = 0.0
     var c = 0
     while (c < params.length) { s += params(c); c += 1 }
     val ds = digamma(s)
     val out = new Array[Double](params.length)
+    var prevBits = 0L
+    var prev = 0.0
     c = 0
-    while (c < params.length) { out(c) = digamma(params(c)) - ds; c += 1 }
+    while (c < params.length) {
+      val bits = java.lang.Double.doubleToRawLongBits(params(c))
+      if (c == 0 || bits != prevBits) { prev = digamma(params(c)); prevBits = bits }
+      out(c) = prev - ds
+      c += 1
+    }
     out
   }
 

@@ -3,6 +3,7 @@ package repro.core
 import repro.crowd.Answer
 import repro.util.Par
 
+import scala.annotation.nowarn
 import scala.reflect.ClassTag
 
 /** Data-pass abstraction for CPA inference (the MAP/REDUCE split of
@@ -10,10 +11,10 @@ import scala.reflect.ClassTag
   * of the program are [[PartitionedEngine]]s: the local engine
   * ([[LocalEngine]]) folds contiguous slices of a `Seq[Answer]` on the
   * driver's thread pool, the Spark engine ([[repro.spark.CpaSpark]]) folds
-  * each partition of cached answers in a task. Both run the same passes and
-  * merge the partitions' results in partition order, so two engines that
-  * split the same answers into the same contiguous partitions give
-  * bit-identical fits.
+  * each partition's persisted answer slice in a task. Both run the same
+  * passes and merge the partitions' results in partition order, so two
+  * engines that split the same answers into the same contiguous partitions
+  * give bit-identical fits.
   */
 trait CpaEngine {
 
@@ -76,10 +77,23 @@ abstract class PartitionedEngine extends CpaEngine {
 
   /** `kernel(in, p, answers of partition p)` for every partition p, in
     * partition order. The kernels of this class capture only `Int`s: every
-    * array they read comes through `in`.
+    * array they read comes through `in`, or through the step's `d` of
+    * [[eachPartitionWith]].
     */
   protected def eachPartition[In: ClassTag, Out: ClassTag](in: In)(
       kernel: (In, Int, Iterator[Answer]) => Out): Array[Out]
+
+  /** [[eachPartition]] for a pass that reads the step's [[CpaCore.Derived]]
+    * (the κ and the statistics pass): `kernel(d, in, p, answers of p)`. The
+    * two passes of a step receive the same `d` through this hook apart from
+    * their other inputs, so an engine can ship it once per step; here it is
+    * folded into `in`. (`In`'s class tag is for an override that ships `in`
+    * on its own.)
+    */
+  @nowarn("cat=unused-params")
+  protected def eachPartitionWith[In: ClassTag, Out: ClassTag](d: CpaCore.Derived, in: In)(
+      kernel: (CpaCore.Derived, In, Int, Iterator[Answer]) => Out): Array[Out] =
+    eachPartition((d, in)) { case ((d, in), p, it) => kernel(d, in, p, it) }
 
   override def candidates(nItems: Int): Array[Array[Int]] =
     eachPartition(nItems)((n, _, it) => CpaCore.candidates(it, n))
@@ -93,8 +107,8 @@ abstract class PartitionedEngine extends CpaEngine {
       d: CpaCore.Derived): Array[Array[Double]] = {
     val U = kappa.length
     val M = d.elnPi.length
-    val logits = eachPartition((phi, d.dlam, d.elnPi)) { case ((phi, dlam, elnPi), p, it) =>
-      CpaCore.kappaLogits(it, U, phi, dlam)(if (p == 0) elnPi.clone() else new Array[Double](M))
+    val logits = eachPartitionWith(d, phi) { (d, phi, p, it) =>
+      CpaCore.kappaLogits(it, U, phi, d.dlam)(if (p == 0) d.elnPi.clone() else new Array[Double](M))
     }.reduceLeftOption { (acc, more) =>
       more.indices.foreach { u =>
         if (more(u) != null) {
@@ -111,10 +125,10 @@ abstract class PartitionedEngine extends CpaEngine {
       kappa: Array[Array[Double]], phi: Array[Array[Double]],
       cand: Array[Array[Int]], yhat: Array[Array[Double]],
       d: CpaCore.Derived, sensMc: Array[Double], fpMc: Array[Double]): CpaCore.SuffStats =
-    eachPartition((kappa, phi, cand, yhat, d.dlam, sensMc, fpMc)) {
-      case ((kappa, phi, cand, yhat, dlam, sensMc, fpMc), _, it) =>
+    eachPartitionWith(d, (kappa, phi, cand, yhat, sensMc, fpMc)) {
+      case (d, (kappa, phi, cand, yhat, sensMc, fpMc), _, it) =>
         val st = CpaCore.emptyStats(T, M, C, I)
-        it.foreach(a => CpaCore.accumulate(st, a, kappa(a.worker), phi(a.item), dlam,
+        it.foreach(a => CpaCore.accumulate(st, a, kappa(a.worker), phi(a.item), d.dlam,
           cand(a.item), yhat(a.item), sensMc, fpMc))
         st
     }.reduceLeftOption(_ merge _).getOrElse(CpaCore.emptyStats(T, M, C, I))
@@ -133,8 +147,9 @@ abstract class PartitionedEngine extends CpaEngine {
   * [[LocalEngine.Slices]] slices by default. It copies the answers into an
   * array and cuts its n answers into min(n, `slices`) contiguous slices,
   * slice p holding answers [p·n/P, (p+1)·n/P): the bounds of Spark's
-  * `ParallelCollectionRDD`, which [[repro.spark.AnswerData.toDs]] caches.
-  * The slices are folded at once on [[repro.util.Par]] (one slice runs
+  * `ParallelCollectionRDD` under [[repro.spark.AnswerData.toDs]], whose
+  * partitions the Spark engine keeps as its answer slices. The slices are
+  * folded at once on [[repro.util.Par]] (one slice runs
   * inline), each walking its index range of the array, and merged in slice
   * order, so a fit depends on `slices`, never on the core count, and equals
   * a Spark fit over the same P partitions bit for bit. Without answers there

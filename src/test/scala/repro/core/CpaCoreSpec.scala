@@ -39,10 +39,13 @@ class CpaCoreSpec extends AnyFunSuite {
   }
 
   test("dirElog matches digamma differences") {
-    val p = Array(2.0, 3.0, 5.0)
-    val e = dirElog(p)
-    val ds = MathFn.digamma(10.0)
-    p.indices.foreach(i => assert(math.abs(e(i) - (MathFn.digamma(p(i)) - ds)) < 1e-12))
+    // The second row repeats entries, whose digamma dirElog reuses: the
+    // result keeps the bits of an entry-by-entry evaluation.
+    for (p <- Seq(Array(2.0, 3.0, 5.0), Array(0.5, 0.5, 0.5, 2.0, 2.0, 0.5, 3.0))) {
+      val e = dirElog(p)
+      val ds = MathFn.digamma(p.sum)
+      p.indices.foreach(i => assert(e(i) == MathFn.digamma(p(i)) - ds, s"entry $i of ${p.mkString(", ")}"))
+    }
   }
 
   test("updateSticks implements Eq 4/5") {

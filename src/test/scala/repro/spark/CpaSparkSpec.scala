@@ -3,7 +3,8 @@ package repro.spark
 import java.util.concurrent.atomic.AtomicLong
 
 import org.apache.spark.repro.ListenerBusAccess
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted, SparkListenerTaskEnd}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerBlockUpdated, SparkListenerJobStart,
+  SparkListenerStageSubmitted, SparkListenerTaskEnd, SparkListenerUnpersistRDD}
 import repro.SparkSpec
 import repro.core.{CpaConfig, CpaCore, CpaModel, CpaState, CpaVi, LocalEngine, TinyAnswers}
 import repro.crowd.{Answer, CrowdDataset, Datasets, Metrics}
@@ -20,11 +21,14 @@ class CpaSparkSpec extends SparkSpec {
   private def fitOneSlice(answers: Seq[Answer], nItems: Int, nWorkers: Int, nLabels: Int): CpaModel =
     CpaVi.fitEngine(new LocalEngine(answers, 1), answers, nItems, nWorkers, nLabels, cfg)
 
-  /** Run `body` with a Spark engine over the cached `answers` (those of `ds` by default). */
+  /** Run `body` with a Spark engine over `answers` (those of `ds` by
+    * default), built as `CpaSpark.fit` builds it and closed afterwards, so
+    * no spec leaves its answer slices persisted in the shared session.
+    */
   private def withSparkEngine[A](body: CpaSpark.SparkEngine => A, answers: Seq[Answer] = ds.answers): A = {
-    val data = AnswerData.toDs(spark, answers).cache()
-    try body(new CpaSpark.SparkEngine(spark, data, answers.size.toLong, CpaCore.meanAnswerSize(answers)))
-    finally { data.unpersist(); () }
+    val engine = new CpaSpark.SparkEngine(spark, AnswerData.toDs(spark, answers), answers.size.toLong,
+      CpaCore.meanAnswerSize(answers))
+    try body(engine) finally engine.close()
   }
 
   /** ϕ, κ, ŷ, ζ, λ per cluster, then the sticks and coins, as raw bits. */
@@ -34,11 +38,11 @@ class CpaSparkSpec extends SparkSpec {
       .map(_.map(_.map(java.lang.Double.doubleToRawLongBits).toSeq).toSeq)
   }
 
-  /** (jobs, stages, shuffle bytes written) and the task-result bytes of each
-    * of `passes`, run in turn on one Spark engine over a fresh cache of
-    * `answers`.
+  /** (jobs, stages, shuffle bytes written), the task-result bytes and the
+    * broadcast-piece bytes of each of `passes`, run in turn on one Spark
+    * engine over `answers`, whose first pass builds the engine's slices.
     */
-  private def passShapes(answers: Seq[Answer])(passes: (CpaSpark.SparkEngine => Any)*): Seq[((Long, Long, Long), Long)] = {
+  private def passShapes(answers: Seq[Answer])(passes: (CpaSpark.SparkEngine => Any)*): Seq[((Long, Long, Long), Long, Long)] = {
     val sc = spark.sparkContext
     val shape = new PassShape
     withSparkEngine({ engine =>
@@ -48,7 +52,8 @@ class CpaSparkSpec extends SparkSpec {
         shape.reset()
         pass(engine)
         ListenerBusAccess.drain(sc)
-        ((shape.jobs.get, shape.stages.get, shape.shuffleWriteBytes.get), shape.resultBytes.get)
+        ((shape.jobs.get, shape.stages.get, shape.shuffleWriteBytes.get), shape.resultBytes.get,
+          shape.broadcastBytes.get)
       } finally sc.removeSparkListener(shape)
     }, answers)
   }
@@ -218,7 +223,7 @@ class CpaSparkSpec extends SparkSpec {
   test("computeKappa and computeStats each run one job of one stage and write no shuffle") {
     val in = passInputs
     val shapes = passShapes(ds.answers)(
-      _.candidates(ds.nItems), // materialises the cached answers
+      _.candidates(ds.nItems), // materialises the answer slices
       _.computeKappa(in.kappa, in.phi, in.d),
       _.computeStats(in.g.T, in.g.M, in.g.C, ds.nItems, in.kappa, in.phi, in.cand, in.yhat, in.d,
         in.sens, in.fp))
@@ -249,6 +254,58 @@ class CpaSparkSpec extends SparkSpec {
     val shapes = passShapes(ds.answers)(_.candidates(ds.nItems), _.bootstrapLambda(s.g.T, s.g.M, s.g.C, s.kappa, s.phi))
     assert(shapes(0)._1 == ((1L, 1L, 0L)), "candidates on a fresh cache (jobs, stages, shuffle bytes)")
     assert(shapes(1)._1 == ((1L, 1L, 0L)), "bootstrapLambda (jobs, stages, shuffle bytes)")
+  }
+
+  test("the first pass stores the answer slices and cuts their lineage, and close releases them") {
+    val sc = spark.sparkContext
+    val id = withSparkEngine { engine =>
+      engine.candidates(ds.nItems)
+      val slices = engine.slices
+      assert(slices.isCheckpointed)
+      // A checkpointed RDD's one dependency is its checkpoint, which has none.
+      assert(slices.dependencies.map(_.rdd.dependencies) == Seq(Nil), slices.toDebugString)
+      assert(sc.getPersistentRDDs.contains(slices.id))
+      val s = startState()
+      engine.bootstrapLambda(s.g.T, s.g.M, s.g.C, s.kappa, s.phi)
+      assert(engine.slices eq slices, "a later pass built new slices")
+      slices.id
+    }
+    assert(!sc.getPersistentRDDs.contains(id), "close left the slices persisted")
+  }
+
+  test("a Spark fit leaves no RDD it persisted") {
+    val sc = spark.sparkContext
+    val unpersisted = new java.util.concurrent.ConcurrentLinkedQueue[Int]
+    val listener = new SparkListener {
+      override def onUnpersistRDD(e: SparkListenerUnpersistRDD): Unit = { unpersisted.add(e.rddId); () }
+    }
+    val before = sc.getPersistentRDDs.keySet.toSet
+    sc.addSparkListener(listener)
+    try {
+      CpaSpark.fit(spark, ds.answers, ds.nItems, ds.nWorkers, ds.nLabels, CpaConfig(maxIter = 2))
+      ListenerBusAccess.drain(sc)
+    } finally sc.removeSparkListener(listener)
+    assert(!unpersisted.isEmpty, "the fit unpersisted nothing")
+    val left = sc.getPersistentRDDs.keySet.toSet -- before
+    assert(left.isEmpty, s"RDDs ${left.mkString(", ")} are still persisted")
+  }
+
+  test("a statistics pass after a κ pass on the same Derived broadcasts less than on a fresh Derived") {
+    val in = passInputs
+    def stats(d: CpaCore.Derived)(engine: CpaSpark.SparkEngine) =
+      engine.computeStats(in.g.T, in.g.M, in.g.C, ds.nItems, in.kappa, in.phi, in.cand, in.yhat, d,
+        in.sens, in.fp)
+    val shapes = passShapes(ds.answers)(
+      _.candidates(ds.nItems),
+      _.computeKappa(in.kappa, in.phi, in.d),
+      stats(in.d),
+      stats(CpaCore.derive(in.g)),
+      _ => spark.sparkContext.broadcast(CpaCore.derive(in.g)).destroy())
+    val (shared, fresh, derived) = (shapes(2)._3, shapes(3)._3, shapes(4)._3)
+    // The passes' own inputs and task binaries match to a few bytes, so the
+    // fresh pass writes about one more Derived broadcast.
+    assert(shared > 0 && derived > 0 && fresh - shared > derived / 2,
+      s"statistics pass broadcast $shared bytes on the κ pass's Derived, $fresh on a fresh one; a Derived is $derived")
   }
 
   test("a Spark fit on zero answers equals the local fit") {
@@ -351,13 +408,15 @@ private final case class PassInputs(g: CpaCore.Globals, phi: Array[Array[Double]
     kappa: Array[Array[Double]], cand: Array[Array[Int]], yhat: Array[Array[Double]],
     d: CpaCore.Derived, sens: Array[Double], fp: Array[Double])
 
-/** Counts the jobs started, stages submitted, shuffle bytes written and
-  * task-result bytes.
+/** Counts the jobs started, stages submitted, shuffle bytes written,
+  * task-result bytes and the stored bytes of the broadcast pieces written
+  * (serialised and compressed, as shipped to executors; removals are not
+  * counted).
   */
 private final class PassShape extends SparkListener {
-  val jobs, stages, shuffleWriteBytes, resultBytes = new AtomicLong
+  val jobs, stages, shuffleWriteBytes, resultBytes, broadcastBytes = new AtomicLong
 
-  def reset(): Unit = Seq(jobs, stages, shuffleWriteBytes, resultBytes).foreach(_.set(0))
+  def reset(): Unit = Seq(jobs, stages, shuffleWriteBytes, resultBytes, broadcastBytes).foreach(_.set(0))
 
   override def onJobStart(e: SparkListenerJobStart): Unit = { jobs.incrementAndGet(); () }
 
@@ -368,4 +427,13 @@ private final class PassShape extends SparkListener {
       shuffleWriteBytes.addAndGet(e.taskMetrics.shuffleWriteMetrics.bytesWritten)
       resultBytes.addAndGet(e.taskMetrics.resultSize); ()
     }
+
+  override def onBlockUpdated(e: SparkListenerBlockUpdated): Unit = {
+    val info = e.blockUpdatedInfo
+    // A removal reports the removed block's size too, at an invalid storage
+    // level, and a destroyed broadcast's removal can land in a later pass.
+    if (info.blockId.isBroadcast && info.blockId.name.contains("_piece") && info.storageLevel.isValid) {
+      broadcastBytes.addAndGet(info.memSize + info.diskSize); ()
+    }
+  }
 }
